@@ -21,35 +21,30 @@ counts in restrictions, and per-entry transpose-symmetry deviations of the
 restricted matrices are reported with signs (only absolute values are
 asserted; the off-diagonal signs depend on the square-root convention).
 
-All rank decisions go through singular-value thresholds with an explicit
-gap guard: a spectrum without a clear gap raises IndeterminateRankError
-instead of guessing.
+Commutants are Hom(r, r): every solve here is one Hom-space system,
+built by _hom, and every rank or nullity decision goes through
+hecke_rep.numeric_rank or hecke_rep.nullspace, whose singular-value
+threshold has an explicit gap guard: a spectrum without a clear gap
+raises IndeterminateRankError instead of guessing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .hecke_rep import (
-    GAP_GUARD,
-    RANK_THRESHOLD,
     IndeterminateRankError,
     Representation,
     build_representation,
+    nullspace,
     sup_norm,
 )
 from .scalars import q_to_text
-from .tableaux import (
-    YoungDiagram,
-    enumerate_diagrams,
-    enumerate_standard_tableaux,
-    transpose,
-)
+from .tableaux import YoungDiagram, enumerate_diagrams, transpose
 
 __all__ = [
     "IndeterminateRankError",
@@ -102,27 +97,7 @@ def restrict(rep: Representation) -> RestrictedRep:
 
 
 # ---------------------------------------------------------------------------
-# rank and nullspace with a conditioning guard
-
-def _rank_and_nullspace(stacked: np.ndarray, n_cols: int):
-    """(rank, nullspace basis rows) of a stacked system, with gap guard."""
-    if stacked.shape[0] == 0:
-        return 0, np.eye(n_cols)
-    u, svals, vh = np.linalg.svd(stacked, full_matrices=True)
-    del u
-    top = float(svals[0]) if svals.size else 0.0
-    if top == 0.0:
-        return 0, np.eye(n_cols)
-    cut = RANK_THRESHOLD * top
-    rank = int(np.sum(svals > cut))
-    if 0 < rank < svals.size:
-        dropped = float(svals[rank])
-        if dropped > 0.0 and float(svals[rank - 1]) / dropped < GAP_GUARD:
-            raise IndeterminateRankError(
-                f"singular values {svals[rank - 1]:.3e} and {dropped:.3e} "
-                f"straddle the cutoff without a {GAP_GUARD:.0e} gap")
-    return rank, vh[rank:]
-
+# Hom spaces
 
 def _y_matrices(r) -> Sequence[np.ndarray]:
     if isinstance(r, RestrictedRep):
@@ -130,11 +105,15 @@ def _y_matrices(r) -> Sequence[np.ndarray]:
     return tuple(r)
 
 
-def _commutant_rows(mats: Sequence[np.ndarray], dim: int) -> np.ndarray:
-    eye = np.eye(dim)
-    if not mats:
-        return np.zeros((0, dim * dim))
-    return np.vstack([np.kron(y, eye) - np.kron(eye, y.T) for y in mats])
+def _hom(y1: Sequence[np.ndarray], y2: Sequence[np.ndarray]) -> np.ndarray:
+    """Basis rows of {X : X Y1_i = Y2_i X}, X of size dim2 x dim1, flattened."""
+    if len(y1) != len(y2):
+        raise ValueError("generator counts differ (mixed n)")
+    if not y1:
+        raise ValueError("no generators to intertwine (n = 2)")
+    eye1, eye2 = np.eye(y1[0].shape[0]), np.eye(y2[0].shape[0])
+    return nullspace(np.vstack([np.kron(b, eye1) - np.kron(eye2, a.T)
+                                for a, b in zip(y1, y2)]))
 
 
 def commutant_dimension(r) -> int:
@@ -149,32 +128,16 @@ def commutant_dimension(r) -> int:
     if not mats:
         dim = r.dim if isinstance(r, RestrictedRep) else 1
         return dim * dim
-    dim = mats[0].shape[0]
-    rank, _ = _rank_and_nullspace(_commutant_rows(mats, dim), dim * dim)
-    return dim * dim - rank
-
-
-def _intertwiner_nullspace(y1: Sequence[np.ndarray], y2: Sequence[np.ndarray]):
-    """Nullspace of the system X Y1_i = Y2_i X, X of size dim2 x dim1."""
-    if len(y1) != len(y2):
-        raise ValueError("generator counts differ (mixed n)")
-    if not y1:
-        raise ValueError("no generators to intertwine (n = 2)")
-    d1, d2 = y1[0].shape[0], y2[0].shape[0]
-    eye1, eye2 = np.eye(d1), np.eye(d2)
-    stacked = np.vstack([np.kron(b, eye1) - np.kron(eye2, a.T)
-                         for a, b in zip(y1, y2)])
-    _, null = _rank_and_nullspace(stacked, d1 * d2)
-    return null, d1, d2
+    return _hom(mats, mats).shape[0]
 
 
 def find_intertwiner(r1, r2, tol: float = 1e-10):
     """A nonzero intertwiner from r1 to r2, or None if none exists."""
     y1, y2 = _y_matrices(r1), _y_matrices(r2)
-    null, d1, d2 = _intertwiner_nullspace(y1, y2)
+    null = _hom(y1, y2)
     if null.shape[0] == 0:
         return None
-    x = null[0].reshape(d2, d1)
+    x = null[0].reshape(y2[0].shape[0], y1[0].shape[0])
     x = x / np.linalg.norm(x)
     residual = max(sup_norm(b @ x - x @ a) for a, b in zip(y1, y2))
     if residual > tol:
@@ -237,11 +200,10 @@ def split_self_conjugate(r: RestrictedRep, tol: float = 1e-10):
         raise ValueError(f"shape {shape.text()} is not self-conjugate")
     mats = r.y_matrices
     dim = r.dim
-    rank, null = _rank_and_nullspace(_commutant_rows(mats, dim), dim * dim)
-    nullity = dim * dim - rank
-    if nullity != 2:
+    null = _hom(mats, mats)
+    if null.shape[0] != 2:
         raise IndeterminateRankError(
-            f"commutant dimension {nullity}, expected 2 for a "
+            f"commutant dimension {null.shape[0]}, expected 2 for a "
             f"self-conjugate restriction")
     x = _nonscalar_commutant_element(null, dim)
 
@@ -343,7 +305,6 @@ class DecompositionReport:
     labels: list[dict]
     equivalences: list[list[str]]
     checks: dict
-    idempotents: dict[str, np.ndarray] = field(default_factory=dict)
     label_matrices: dict[str, list[np.ndarray]] = field(default_factory=dict)
 
     def to_jsonable(self) -> dict:
@@ -394,7 +355,7 @@ def classify(n: int, q, tol: float = 1e-10) -> DecompositionReport:
             all_pass = all_pass and split_report["pass"]
             for tag, basis in (("plus", plus_basis), ("minus", minus_basis)):
                 mats = [basis.conj().T @ y @ basis for y in r.y_matrices]
-                cdim = commutant_dimension(mats) if mats else 1
+                cdim = commutant_dimension(mats)
                 labels.append({"shape": text, "tag": tag,
                                "dim": basis.shape[1], "commutant_dim": cdim})
                 label_matrices[_label_key(text, tag)] = mats
@@ -427,20 +388,8 @@ def classify(n: int, q, tol: float = 1e-10) -> DecompositionReport:
     all_pass = all_pass and total == expected
     checks = {"sum_dim_sq": total, "pass": bool(all_pass)}
 
-    # central idempotents as block projections in the label direct sum
-    idempotents: dict[str, np.ndarray] = {}
-    offset = 0
-    total_dim = sum(label["dim"] for label in labels)
-    for label, key in zip(labels, keys):
-        z = np.zeros((total_dim, total_dim))
-        z[offset:offset + label["dim"], offset:offset + label["dim"]] = \
-            np.eye(label["dim"])
-        idempotents[key] = z
-        offset += label["dim"]
-
     return DecompositionReport(n=n, q_value=q_value, labels=labels,
                                equivalences=equivalences, checks=checks,
-                               idempotents=idempotents,
                                label_matrices=label_matrices)
 
 
@@ -468,8 +417,7 @@ def induction_multiplicities(label: str, n: int, q,
     total = 0
     for shape in enumerate_diagrams(n):
         r = restrict(build_representation(shape, q, "f"))
-        null, _, _ = _intertwiner_nullspace(w, r.y_matrices)
-        mult = null.shape[0]
+        mult = _hom(w, r.y_matrices).shape[0]
         multiplicities[shape.text()] = mult
         total += mult * r.dim
     induced = 2 * label_dim

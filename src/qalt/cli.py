@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .scalars import QPoint, parse_q, q_to_text
+from .scalars import parse_q, q_to_text
 from .tableaux import (
     YoungDiagram,
     enumerate_diagrams,

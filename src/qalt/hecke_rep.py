@@ -60,6 +60,7 @@ __all__ = [
     "direct_sum",
     "dimension_certificate",
     "numeric_rank",
+    "nullspace",
     "sup_norm",
     "representation_to_jsonable",
 ]
@@ -83,25 +84,45 @@ def sup_norm(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix)))
 
 
-def numeric_rank(matrix: np.ndarray,
-                 threshold: float = RANK_THRESHOLD,
-                 gap_guard: float = GAP_GUARD) -> int:
+def _guarded_rank(svals: np.ndarray) -> int:
+    """Number of singular values above RANK_THRESHOLD * sigma_max.
+
+    Raises IndeterminateRankError when the smallest kept and the largest
+    dropped value are less than GAP_GUARD apart.
+    """
+    top = float(svals[0]) if svals.size else 0.0
+    if top == 0.0:
+        return 0
+    rank = int(np.sum(svals > RANK_THRESHOLD * top))
+    if 0 < rank < svals.size:
+        dropped = float(svals[rank])
+        if dropped > 0.0 and float(svals[rank - 1]) / dropped < GAP_GUARD:
+            raise IndeterminateRankError(
+                f"singular values {svals[rank - 1]:.3e} and {dropped:.3e} "
+                f"straddle the cutoff without a {GAP_GUARD:.0e} gap")
+    return rank
+
+
+def numeric_rank(matrix: np.ndarray) -> int:
     """Rank by singular values, refusing to guess near the threshold."""
     if matrix.size == 0:
         return 0
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    top = float(svals[0])
-    if top == 0.0:
-        return 0
-    cut = threshold * top
-    rank = int(np.sum(svals > cut))
-    if 0 < rank < svals.size:
-        dropped = float(svals[rank])
-        if dropped > 0.0 and float(svals[rank - 1]) / dropped < gap_guard:
-            raise IndeterminateRankError(
-                f"singular values {svals[rank - 1]:.3e} and {dropped:.3e} "
-                f"straddle the cutoff without a {gap_guard:.0e} gap")
-    return rank
+    return _guarded_rank(np.linalg.svd(matrix, compute_uv=False))
+
+
+def nullspace(matrix: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the kernel, by the numeric_rank rule.
+
+    The thin SVD has min(rows, cols) right singular vectors, which cover
+    the whole kernel only for systems with at least as many rows as
+    columns.  Every system solved here is one: the Hom-space systems of
+    alt_decompose have (n-2) d1 d2 rows for d1 d2 unknowns, with n >= 3.
+    An all-zero system returns a full orthonormal basis.
+    """
+    if matrix.shape[0] < matrix.shape[1]:
+        raise ValueError("nullspace needs at least as many rows as columns")
+    _, svals, vh = np.linalg.svd(matrix, full_matrices=False)
+    return vh[_guarded_rank(svals):]
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +369,7 @@ def dimension_certificate(n: int, q=Fraction(2)) -> dict:
             for shape in enumerate_diagrams(n)]
     rows = math.factorial(n) // 2
     cols = sum(rep.dim ** 2 for rep in reps)
-    dtype = np.result_type(*(rep.generator_matrices[0].dtype if rep.dim else
-                             np.float64 for rep in reps)) \
-        if n >= 2 else np.float64
+    dtype = np.result_type(*(rep.generator_matrices[0].dtype for rep in reps))
     big = np.zeros((rows, cols), dtype=dtype)
 
     col = 0

@@ -38,8 +38,6 @@ __all__ = [
     "RationalFunction",
     "QPoint",
     "QInteger",
-    "rf_arith",
-    "evaluate",
     "is_admissible",
     "parse_q",
     "q_to_text",
@@ -353,19 +351,6 @@ class RationalFunction:
         return f"RationalFunction({self})"
 
 
-def rf_arith(a: RationalFunction, b: RationalFunction, op: str) -> RationalFunction:
-    """Dispatch add/sub/mul/div on rational functions by name."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def is_admissible(q: Scalar, n: int):
     """Whether q is a valid parameter for the algebras on n symbols.
 
@@ -418,11 +403,6 @@ class QPoint:
     @property
     def is_exact(self) -> bool:
         return isinstance(self.value, (int, Fraction))
-
-
-def evaluate(f: RationalFunction, at: QPoint):
-    """Specialize a rational function at an admissible point."""
-    return f.evaluate(at.value)
 
 
 @dataclass(frozen=True)

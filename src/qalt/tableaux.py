@@ -31,8 +31,6 @@ __all__ = [
     "transpose",
     "axial_distance",
     "apply_transposition",
-    "stab_split",
-    "predecessors",
     "parse_shape",
     "parse_tableau",
 ]
@@ -78,18 +76,6 @@ class YoungDiagram:
             below = self.rows[i] if i < len(self.rows) else 0
             if r > below:
                 out.append((i, r))
-        return out
-
-    def predecessors(self) -> list["YoungDiagram"]:
-        """All diagrams obtained by removing one corner box."""
-        out = []
-        for i, _ in self.corners():
-            rows = list(self.rows)
-            rows[i - 1] -= 1
-            if rows[i - 1] == 0:
-                rows.pop()
-            if rows:
-                out.append(YoungDiagram(tuple(rows)))
         return out
 
     def text(self) -> str:
@@ -260,31 +246,6 @@ def enumerate_standard_tableaux(shape: YoungDiagram) -> list[StandardTableau]:
     tabs = [StandardTableau(f) for f in _fillings(shape.rows)]
     tabs.sort(key=_canonical_key)
     return tabs
-
-
-def stab_split(shape: YoungDiagram):
-    """Partition the standard tableaux by the position of the entry 2.
-
-    Returns (plus, minus): plus holds the tableaux with 2 at (1, 2), minus
-    those with 2 at (2, 1).  For n >= 2 every standard tableau is in
-    exactly one part.
-    """
-    if shape.n < 2:
-        raise ValueError("stab_split needs n >= 2")
-    plus, minus = [], []
-    for t in enumerate_standard_tableaux(shape):
-        if t.position_of(2) == (1, 2):
-            plus.append(t)
-        else:
-            minus.append(t)
-    return plus, minus
-
-
-def predecessors(shape: YoungDiagram) -> list[YoungDiagram]:
-    """Diagrams obtained from shape by removing one corner box."""
-    if shape.n < 2:
-        raise ValueError("predecessors needs n >= 2")
-    return shape.predecessors()
 
 
 if __name__ == "__main__":

@@ -125,6 +125,12 @@ def test_commutant_of_direct_sum():
                                                restricted("3,1"))) == 2
 
 
+def test_commutant_refuses_ambiguous_spectrum():
+    # eigenvalue gaps 2.8e-8 (kept) and 2e-9 (dropped) are only 14x apart
+    with pytest.raises(IndeterminateRankError):
+        commutant_dimension([np.diag([0.0, 2e-9, 3e-8, 1.0])])
+
+
 # -- intertwiners -------------------------------------------------------------------
 
 def test_intertwiner_between_transpose_pair():

@@ -11,10 +11,8 @@ from qalt.scalars import (
     QInteger,
     QPoint,
     RationalFunction,
-    evaluate,
     is_admissible,
     parse_q,
-    rf_arith,
 )
 
 
@@ -136,16 +134,6 @@ def test_rf_multiplicative_inverse(a):
         assert (a / a) == 1
 
 
-def test_rf_arith_dispatch():
-    q = RationalFunction.q()
-    assert rf_arith(q, q, "add") == q * 2
-    assert rf_arith(q, q, "sub").is_zero
-    assert rf_arith(q, q, "mul") == q ** 2
-    assert rf_arith(q, q, "div") == 1
-    with pytest.raises(ValueError):
-        rf_arith(q, q, "pow")
-
-
 def test_rf_evaluate_pole():
     q = RationalFunction.q()
     f = 1 / (q - 1)
@@ -212,12 +200,6 @@ def test_qpoint_rejects_inadmissible():
     QPoint(Fraction(2), 5)
     with pytest.raises(ValueError):
         QPoint(Fraction(1), 5)
-
-
-def test_evaluate_at_point():
-    q = RationalFunction.q()
-    pt = QPoint(Fraction(3, 2), 4)
-    assert evaluate((q + 1) ** 2, pt) == Fraction(25, 4)
 
 
 def test_parse_q_forms():

@@ -16,8 +16,6 @@ from qalt.tableaux import (
     enumerate_standard_tableaux,
     parse_shape,
     parse_tableau,
-    predecessors,
-    stab_split,
     transpose,
 )
 
@@ -111,13 +109,6 @@ def test_parse_shape_round_trip():
         parse_shape("")
 
 
-def test_predecessors():
-    assert [d.text() for d in predecessors(parse_shape("2,1"))] == ["1,1", "2"]
-    assert [d.text() for d in predecessors(parse_shape("3,3"))] == ["3,2"]
-    with pytest.raises(ValueError):
-        predecessors(parse_shape("1"))
-
-
 # -- standard tableaux ---------------------------------------------------------
 
 def test_tableau_validation():
@@ -173,18 +164,6 @@ def test_tableau_transpose_is_bijection(shape):
     flipped = {t.entries for t in map(transpose, tabs)}
     expected = {t.entries for t in enumerate_standard_tableaux(transpose(shape))}
     assert flipped == expected
-
-
-def test_stab_split_by_position_of_two():
-    plus, minus = stab_split(parse_shape("2,1"))
-    assert [t.text() for t in plus] == ["1,2/3"]
-    assert [t.text() for t in minus] == ["1,3/2"]
-    for rows in ("3,1", "2,2", "2,1,1"):
-        shape = parse_shape(rows)
-        plus, minus = stab_split(shape)
-        assert all(t.position_of(2) == (1, 2) for t in plus)
-        assert all(t.position_of(2) == (2, 1) for t in minus)
-        assert len(plus) + len(minus) == len(enumerate_standard_tableaux(shape))
 
 
 # -- axial distance and adjacent swaps -----------------------------------------
