@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qalt import alt_decompose
 from qalt.tableaux import enumerate_diagrams, parse_shape, transpose
 from qalt.hecke_rep import build_representation, numeric_rank, sup_norm
 from qalt.word_algebra import NormalFormMonomial, enumerate_normal_monomials
@@ -23,6 +26,7 @@ from qalt.alt_decompose import (
 )
 
 SAMPLE_Q = (Fraction(2), Fraction(3, 2), Fraction(5, 7), 0.3, 1.7)
+COMPLEX_Q = complex(1, 0.5)
 
 
 def restricted(shape_text, q=Fraction(2)):
@@ -129,6 +133,90 @@ def test_commutant_refuses_ambiguous_spectrum():
     # eigenvalue gaps 2.8e-8 (kept) and 2e-9 (dropped) are only 14x apart
     with pytest.raises(IndeterminateRankError):
         commutant_dimension([np.diag([0.0, 2e-9, 3e-8, 1.0])])
+
+
+# -- Hom spaces against the dense Kronecker system ----------------------------------
+
+def kron_hom_dimension(y1, y2):
+    """Nullity of the stacked system X Y1_i = Y2_i X in d1 d2 unknowns."""
+    eye1, eye2 = np.eye(y1[0].shape[0]), np.eye(y2[0].shape[0])
+    system = np.vstack([np.kron(b, eye1) - np.kron(eye2, a.T)
+                        for a, b in zip(y1, y2)])
+    return system.shape[1] - numeric_rank(system)
+
+
+@pytest.mark.parametrize("q", SAMPLE_Q + (COMPLEX_Q,))
+def test_hom_matches_kronecker_oracle(q):
+    for n in (3, 4, 5):
+        reps = [restricted(shape.text(), q).y_matrices
+                for shape in enumerate_diagrams(n)]
+        for y1 in reps:
+            for y2 in reps:
+                assert (alt_decompose._hom(y1, y2).shape[0]
+                        == kron_hom_dimension(y1, y2))
+
+
+def test_hom_counts_eigenvalues_equal_within_the_cutoff():
+    # the singular value 1e-8 lies below the cutoff 1e-8 * sigma_max = 2e-8
+    y1, y2 = [np.diag([1.0, 2.0])], [np.diag([1.0 + 1e-8, 3.0])]
+    assert kron_hom_dimension(y1, y2) == 1
+    assert alt_decompose._hom(y1, y2).shape[0] == 1
+    assert alt_decompose._hom(y1, [np.diag([1.0 + 1e-6, 3.0])]).shape[0] == 0
+
+
+# pairwise inequivalent irreducible restrictions at n = 5, each listed with
+# the transposed shape, whose restriction is equivalent to it
+CLASSES_N5 = (("5", "1,1,1,1,1"), ("4,1", "2,1,1,1"), ("3,2", "2,2,1"))
+
+
+@given(multiplicities=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+       flips=st.lists(st.booleans(), min_size=6, max_size=6),
+       q=st.sampled_from(SAMPLE_Q + (COMPLEX_Q,)),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+@example(multiplicities=[2, 0, 0], flips=[False] * 6, q=Fraction(2), seed=0)
+def test_commutant_of_conjugated_direct_sum(multiplicities, flips, q, seed):
+    summands = []
+    for k, (pair, mult) in enumerate(zip(CLASSES_N5, multiplicities)):
+        for copy in range(mult):
+            summands.append(restricted(pair[int(flips[2 * k + copy])], q))
+    if not summands:
+        return
+    dim = sum(r.dim for r in summands)
+    dtype = np.result_type(*(r.y_matrices[0] for r in summands))
+    basis = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))[0]
+    mats = []
+    for i in range(3):
+        block = np.zeros((dim, dim), dtype=dtype)
+        at = 0
+        for r in summands:
+            block[at:at + r.dim, at:at + r.dim] = r.y_matrices[i]
+            at += r.dim
+        mats.append(basis.T @ block @ basis)
+    # the summands' classes are irreducible and pairwise inequivalent
+    assert commutant_dimension(mats) == sum(m * m for m in multiplicities)
+
+
+def test_hom_basis_is_orthonormal_and_real_for_real_input():
+    pairs = [(restricted("3,1"), restricted("2,1,1")),
+             (restricted("2,2"), restricted("2,2")),
+             (restricted("3,2", 0.3), restricted("2,2,1", 0.3))]
+    for r1, r2 in pairs:
+        null = alt_decompose._hom(r1.y_matrices, r2.y_matrices)
+        assert null.shape[0] >= 1
+        assert np.isrealobj(null)
+        assert sup_norm(null @ null.T - np.eye(null.shape[0])) < 1e-12
+        for row in null:
+            x = row.reshape(r2.dim, r1.dim)
+            for a, b in zip(r1.y_matrices, r2.y_matrices):
+                assert sup_norm(b @ x - x @ a) < 1e-12
+    r1, r2 = restricted("3,2", COMPLEX_Q), restricted("2,2,1", COMPLEX_Q)
+    null = alt_decompose._hom(r1.y_matrices, r2.y_matrices)
+    assert null.shape[0] == 1
+    assert sup_norm(null @ null.conj().T - np.eye(1)) < 1e-12
+    x = null[0].reshape(r2.dim, r1.dim)
+    for a, b in zip(r1.y_matrices, r2.y_matrices):
+        assert sup_norm(b @ x - x @ a) < 1e-12
 
 
 # -- intertwiners -------------------------------------------------------------------
@@ -248,7 +336,7 @@ def test_classify_n4():
     assert data["equivalences"] == [["4", "1,1,1,1"], ["3,1", "2,1,1"]]
 
 
-@pytest.mark.parametrize("q", [Fraction(3, 2), 1.7])
+@pytest.mark.parametrize("q", [Fraction(3, 2), 1.7, -0.9])
 def test_classify_n5(q):
     report = classify(5, q)
     data = report.to_jsonable()
@@ -257,6 +345,12 @@ def test_classify_n5(q):
     # 5 has three transpose pairs and one self-conjugate shape
     assert len(data["equivalences"]) == 3
     assert sum(1 for item in data["labels"] if item["tag"] != "whole") == 2
+
+
+@pytest.mark.parametrize("q", [Fraction(2), COMPLEX_Q])
+def test_classify_n7(q):
+    checks = classify(7, q).checks
+    assert checks == {"sum_dim_sq": 2520, "pass": True}
 
 
 def test_classify_rejects_tiny_n():
@@ -317,6 +411,18 @@ def test_induction_table_n4():
     assert by_label["2,2:minus"] == {**zero, "2,2": 1}
     for row in table["rows"]:
         assert row["dimension_identity"]["pass"]
+
+
+def test_induction_table_builds_each_shape_once(monkeypatch):
+    calls = []
+
+    def counting_build(*args, **kwargs):
+        calls.append(args[0])
+        return build_representation(*args, **kwargs)
+
+    monkeypatch.setattr(alt_decompose, "build_representation", counting_build)
+    assert induction_table(6, Fraction(2))["pass"]
+    assert len(calls) == len(enumerate_diagrams(6)) == 11
 
 
 def test_induction_unknown_label():

@@ -1,11 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import qalt
 from qalt.cli import _COMMANDS, main
 from qalt.hecke_rep import IndeterminateRankError
 
@@ -180,8 +182,11 @@ def test_missing_required_flag(capsys):
 
 
 def test_module_entry_point():
+    # the child process imports the same qalt as this test, installed or not
+    src = os.path.dirname(os.path.dirname(qalt.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qalt.cli", "dim", "--n", "4", "--q", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True

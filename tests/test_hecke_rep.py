@@ -238,6 +238,24 @@ def test_nullspace_of_tall_matrix():
         nullspace(m.T)
 
 
+def test_nullspace_of_complex_matrix():
+    # rows are kernel vectors, not their conjugates
+    m = np.array([[1, 1j], [2, 2j], [1j, -1]])
+    null = nullspace(m)
+    assert null.shape == (1, 2)
+    assert np.linalg.norm(m @ null[0]) < 1e-12
+    assert abs(np.linalg.norm(null[0]) - 1.0) < 1e-12
+
+
+def test_nullspace_reference_scale():
+    # the cutoff is RANK_THRESHOLD times the given scale, not sigma_max
+    m = np.diag([1e-3, 1e-12])
+    assert nullspace(m).shape == (1, 2)
+    assert nullspace(m, scale=1e6).shape == (2, 2)
+    with pytest.raises(IndeterminateRankError):
+        nullspace(np.diag([1e-3, 2e-4]), scale=5e4)
+
+
 def test_nullspace_of_zero_system_is_everything():
     null = nullspace(np.zeros((6, 4)))
     assert null.shape == (4, 4)
