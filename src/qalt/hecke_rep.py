@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -108,9 +109,25 @@ def _guarded_rank(svals: np.ndarray, scale: float | None = None) -> int:
 
 
 def numeric_rank(matrix: np.ndarray) -> int:
-    """Rank by singular values, refusing to guess near the threshold."""
+    """Rank by singular values, refusing to guess near the threshold.
+
+    A clearly full rank is read from the Gram matrix G of the short side
+    (p x p, the long side having k entries): forming G and its eigenvalues
+    moves them by at most about (p + k) p eps lambda_max.  When that bound
+    is at most 1e-2 GAP_GUARD RANK_THRESHOLD and lambda_min >= GAP_GUARD
+    RANK_THRESHOLD lambda_max > 0, sigma_min / sigma_max is about 1e-3 or
+    more, so the SVD would return p without reaching the gap check, and p
+    is returned.  Every other matrix goes to the SVD and _guarded_rank.
+    """
     if matrix.size == 0:
         return 0
+    short, long = sorted(matrix.shape)
+    eps = np.finfo(matrix.dtype if matrix.dtype.kind in "fc" else float).eps
+    if (short + long) * short * eps <= 1e-2 * GAP_GUARD * RANK_THRESHOLD:
+        wide = matrix if matrix.shape[0] == short else matrix.T
+        lam = np.linalg.eigvalsh(wide @ wide.conj().T)
+        if lam[-1] > 0.0 and lam[0] >= GAP_GUARD * RANK_THRESHOLD * lam[-1]:
+            return short
     return _guarded_rank(np.linalg.svd(matrix, compute_uv=False))
 
 
@@ -359,26 +376,63 @@ def direct_sum(n: int, q, form: str = "f"):
 # ---------------------------------------------------------------------------
 # dimension certificate for the even subalgebra
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform cannot say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def dimension_certificate(n: int, q=Fraction(2)) -> dict:
     """Rank certificate: even words span a space of dimension n!/2.
 
     Walks all descent-vector words of even length, multiplies out their
-    f-form images inside the direct sum of all irreducibles, and computes
-    the numeric rank of the resulting (n!/2) x (sum of dim^2) matrix.
-    Combined with the exact even-word count this pins the dimension of the
-    even subalgebra from both sides.
+    f-form images, and computes the numeric rank of the (n!/2)-row matrix
+    of their entries.  Combined with the exact even-word count this pins
+    the dimension of the even subalgebra from both sides.
+
+    The columns are those of the direct sum of all irreducibles, reduced
+    by transpose pairs.  On the transposed shape, rho'(f_i) = -E P rho(f_i)
+    P^T E with P the tableau transpose and E = diag((-1)^l(T)), so an even
+    word's image there is a signed permutation of its image on the shape.
+    One shape per pair (the anchor of classify, with the larger rows)
+    therefore stands for both with weight sqrt(2), and each self-conjugate
+    shape keeps weight 1: the matrix M has the same M M^H as the full
+    direct sum, hence the same singular values.  numeric_rank reads a
+    clearly full rank from the Gram matrix and takes the SVD otherwise.
+
+    Raises ValueError before allocating when the word matrix and the
+    rank solve's peak would exceed physical memory.  The peak is bounded
+    by the larger of a copy of the matrix beside the Gram matrix (the
+    SVD's copy, or the conjugate a complex Gram product is formed from)
+    and the Gram matrix beside the eigensolver's copy of it.
     """
     if n < 2:
         raise ValueError("dimension_certificate needs n >= 2")
-    reps = [build_representation(shape, q, "f")
-            for shape in enumerate_diagrams(n)]
+    blocks = [(build_representation(shape, q, "f"),
+               1.0 if shape.is_self_conjugate else math.sqrt(2.0))
+              for shape in enumerate_diagrams(n)
+              if shape.is_self_conjugate
+              or shape.rows > shape.transpose().rows]
     rows = math.factorial(n) // 2
-    cols = sum(rep.dim ** 2 for rep in reps)
-    dtype = np.result_type(*(rep.generator_matrices[0].dtype for rep in reps))
+    cols = sum(rep.dim ** 2 for rep, _ in blocks)
+    dtype = np.result_type(*(rep.generator_matrices[0].dtype
+                             for rep, _ in blocks))
+    gram = min(rows, cols) ** 2
+    need = (rows * cols + max(rows * cols + gram, 2 * gram)) \
+        * np.dtype(dtype).itemsize
+    budget = _physical_memory()
+    if budget is not None and need > budget:
+        raise ValueError(
+            f"the dimension certificate at n = {n} needs about "
+            f"{need / 1e9:.1f} GB (a {rows} x {cols} word matrix and its "
+            f"rank solve), more than the {budget / 1e9:.1f} GB of "
+            f"physical memory")
     big = np.zeros((rows, cols), dtype=dtype)
 
     col = 0
-    for rep in reps:
+    for rep, weight in blocks:
         dim = rep.dim
         mats = rep.generator_matrices
         row_counter = 0
@@ -387,7 +441,7 @@ def dimension_certificate(n: int, q=Fraction(2)) -> dict:
             nonlocal row_counter
             if stage > n:
                 if parity == 0:
-                    big[row_counter, col:col + dim * dim] = mat.ravel()
+                    big[row_counter, col:col + dim * dim] = weight * mat.ravel()
                     row_counter += 1
                 return
             walk(stage + 1, mat, parity)

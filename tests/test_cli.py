@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import qalt
+from qalt import hecke_rep
 from qalt.cli import _COMMANDS, main
 from qalt.hecke_rep import IndeterminateRankError
 
@@ -173,6 +174,16 @@ def test_indeterminate_rank_exits_three(capsys, monkeypatch):
     code, out, err = run(capsys, "dim", "--n", "4", "--q", "2")
     assert code == 3
     assert "indeterminate" in err
+
+
+def test_dim_beyond_physical_memory_exits_one(capsys, monkeypatch):
+    # refused before the word matrix is allocated, with the estimate
+    monkeypatch.setattr(hecke_rep, "_physical_memory", lambda: 1000)
+    code, out, err = run(capsys, "dim", "--n", "4", "--q", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: the dimension certificate at n = 4 "
+                          "needs about 0.0 GB (a 12 x 14 word matrix")
+    assert "more than the 0.0 GB of physical memory" in err
 
 
 def test_missing_required_flag(capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qalt import hecke_rep
 from qalt.scalars import QInteger, QPoint, RationalFunction
 from qalt.tableaux import (
     enumerate_diagrams,
@@ -25,6 +26,7 @@ from qalt.hecke_rep import (
     sup_norm,
     verify_relations,
 )
+from qalt.word_algebra import enumerate_even_uwords
 
 SAMPLE_Q = (Fraction(2), Fraction(3, 2), Fraction(5, 7), 0.3, 1.7)
 
@@ -165,6 +167,47 @@ def test_transpose_swaps_diagonal_signs():
                     assert abs(abs(mt[kt, kt]) - abs(m[k, k])) < 1e-12
 
 
+def even_word_images(rep):
+    """Images of the even descent-vector words, one evaluate_word each."""
+    return [evaluate_word(rep, w.letters())
+            for w in enumerate_even_uwords(rep.n)]
+
+
+def reading_sign(t):
+    # (-1)^(inversions of the row reading word); flips under t -> s_i t
+    word = [v for row in t.entries for v in row]
+    inversions = sum(a > b for k, a in enumerate(word) for b in word[k + 1:])
+    return -1.0 if inversions % 2 else 1.0
+
+
+@pytest.mark.parametrize("q", [Fraction(2), Fraction(5, 7), 0.3, 1 + 0.5j, -0.9])
+def test_transposed_even_words_are_signed_permutations(q):
+    # the identity behind the certificate's transpose-pair column cut:
+    # rho'(w) = E P rho(w) P^T E for every even word w, where P sends v_T
+    # to v_(transpose T) and E = diag(+-1) on the transposed basis.  The
+    # tolerance is relative to |f_i1| ... |f_iL|, the scale of the rounding
+    # in a product: near q = -1 even words cancel to entries far below it.
+    for n in range(3, 7):
+        for shape in enumerate_diagrams(n):
+            rep = build_representation(shape, q, "f")
+            rep_t = build_representation(transpose(shape), q, "f")
+            index_t = {t.entries: k for k, t in enumerate(rep_t.basis)}
+            p = np.zeros((rep.dim, rep.dim))
+            for k, t in enumerate(rep.basis):
+                p[index_t[transpose(t).entries], k] = 1.0
+            e = np.diag([reading_sign(t) for t in rep_t.basis])
+            for m, mt in zip(rep.generator_matrices, rep_t.generator_matrices):
+                assert sup_norm(mt + e @ p @ m @ p.T @ e) == 0.0
+            for word in enumerate_even_uwords(n):
+                letters = word.letters()
+                scale = np.eye(rep.dim)
+                for i in letters:
+                    scale = scale @ np.abs(rep.generator_matrices[i - 1])
+                image = e @ p @ evaluate_word(rep, letters) @ p.T @ e
+                assert sup_norm(evaluate_word(rep_t, letters) - image) \
+                    <= 1e-12 * sup_norm(scale)
+
+
 # -- words and sums ---------------------------------------------------------------
 
 def test_evaluate_word():
@@ -225,6 +268,55 @@ def test_numeric_rank_refuses_ambiguity():
             solve(m)
 
 
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Counts numeric_rank's SVD calls; an empty count means the Gram path."""
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(30, 50), (50, 30)])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_numeric_rank_reads_clear_full_rank_from_gram(shape, dtype, svd_calls):
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal(shape).astype(dtype)
+    if dtype is np.complex128:
+        m = m + 1j * rng.standard_normal(shape)
+    assert numeric_rank(m) == 30
+    assert svd_calls == []
+
+
+@pytest.mark.parametrize("ratio", [3e-4, 1e-5])
+def test_numeric_rank_takes_svd_below_the_acceptance_ratio(ratio, svd_calls):
+    # full rank, but sigma_min / sigma_max is below 1e-3: the SVD decides
+    m = np.diag([1.0, 0.5, ratio])
+    assert numeric_rank(m) == 3
+    assert len(svd_calls) == 1
+
+
+def test_numeric_rank_of_deficient_matrix_comes_from_svd(svd_calls):
+    rng = np.random.default_rng(12)
+    m = rng.standard_normal((20, 8)) @ rng.standard_normal((8, 30))
+    assert numeric_rank(m) == 8
+    assert numeric_rank(m.T) == 8
+    assert len(svd_calls) == 2
+
+
+def test_numeric_rank_gram_path_needs_the_rounding_bound(svd_calls):
+    # at single precision (p + k) p eps exceeds 1e-2 GAP_GUARD RANK_THRESHOLD
+    # for every shape, so even a well-conditioned matrix goes to the SVD
+    m = np.random.default_rng(13).standard_normal((10, 20)).astype(np.float32)
+    assert numeric_rank(m) == 10
+    assert len(svd_calls) == 1
+
+
 def test_nullspace_of_tall_matrix():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((6, 2))
@@ -268,6 +360,56 @@ def test_dimension_certificate_small():
     assert dimension_certificate(4) == {
         "even_words": 12, "rank": 12, "expected": 12, "pass": True}
     assert dimension_certificate(5, Fraction(3, 2))["pass"]
+
+
+ORACLE_Q = (Fraction(2), Fraction(3, 2), Fraction(5, 7), 0.3, 1.7, 1 + 0.5j,
+            -0.9, -0.5, 0.5j, 1e-5)
+
+
+def all_shapes_certificate(n, q):
+    """The certificate on the full direct sum: every shape's block, SVD rank."""
+    big = np.hstack([
+        np.array([w.ravel() for w in even_word_images(
+            build_representation(shape, q, "f"))])
+        for shape in enumerate_diagrams(n)])
+    rows = math.factorial(n) // 2
+    rank = hecke_rep._guarded_rank(np.linalg.svd(big, compute_uv=False))
+    return {"even_words": rows, "rank": rank, "expected": rows,
+            "pass": rank == rows}
+
+
+@pytest.mark.parametrize("q", ORACLE_Q)
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_dimension_certificate_matches_all_shapes_oracle(n, q):
+    try:
+        expected = all_shapes_certificate(n, q)
+    except IndeterminateRankError as exc:
+        with pytest.raises(IndeterminateRankError) as info:
+            dimension_certificate(n, q)
+        assert str(info.value) == str(exc)
+    else:
+        assert dimension_certificate(n, q) == expected
+
+
+def certificate_gb(rows, cols, itemsize):
+    # the word matrix, then a copy of it beside the Gram matrix or the Gram
+    # matrix beside the eigensolver's copy, whichever is larger
+    gram = min(rows, cols) ** 2
+    return (rows * cols + max(rows * cols + gram, 2 * gram)) * itemsize / 1e9
+
+
+def test_dimension_certificate_refuses_beyond_physical_memory(monkeypatch):
+    monkeypatch.setattr(hecke_rep, "_physical_memory", lambda: 0)
+    # n = 8: 20160 even words; the anchors of the transpose pairs and the
+    # self-conjugate shapes 4,2,1,1 and 3,3,2 give 25092 columns
+    for q, itemsize in ((Fraction(2), 8), (1 + 0.5j, 16)):
+        gb = certificate_gb(20160, 25092, itemsize)
+        with pytest.raises(ValueError, match=(
+                f"needs about {gb:.1f} GB \\(a 20160 x 25092 word matrix")):
+            dimension_certificate(8, q)
+    assert f"{certificate_gb(20160, 25092, 8):.1f}" == "11.3"
+    monkeypatch.setattr(hecke_rep, "_physical_memory", lambda: None)
+    assert dimension_certificate(3)["pass"]
 
 
 # -- serialization ---------------------------------------------------------------------
