@@ -188,11 +188,14 @@ def _hom(y1: Sequence[np.ndarray], y2: Sequence[np.ndarray]) -> np.ndarray:
     # the power iteration is skipped when no pair lies within the band of
     # an upper bound of the scale: then none lies within the true band
     bound = float(np.linalg.norm(_norm_bounds(a) + _norm_bounds(b)))
-    scale = _hom_scale(a, b) if np.any(gaps <= width * bound) else 0.0
-    if 0.0 < scale <= RANK_THRESHOLD * bound:
-        # a system below the cutoff of its inputs' size is zero to working
-        # precision (scalar generators up to rounding): every X solves it
-        scale = bound
+    scale = 0.0
+    if np.any(gaps <= width * bound):
+        scale = _hom_scale(a, b)
+        if scale <= RANK_THRESHOLD * bound:
+            # a system below the cutoff of its inputs' size is zero to
+            # working precision (scalar generators up to rounding, where it
+            # may round to exactly zero): every X solves it
+            scale = bound
     near = gaps <= width * scale
     neighbours = near.any(axis=1)[:, None] | near.any(axis=0)
     ks, ls = np.nonzero(near | ((gaps <= _BAND_WIDENING * width * scale)

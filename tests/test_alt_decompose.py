@@ -175,6 +175,7 @@ CLASSES_N5 = (("5", "1,1,1,1,1"), ("4,1", "2,1,1,1"), ("3,2", "2,2,1"))
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 @example(multiplicities=[2, 0, 0], flips=[False] * 6, q=Fraction(2), seed=0)
+@example(multiplicities=[2, 0, 0], flips=[False] * 6, q=Fraction(2), seed=1793)
 def test_commutant_of_conjugated_direct_sum(multiplicities, flips, q, seed):
     summands = []
     for k, (pair, mult) in enumerate(zip(CLASSES_N5, multiplicities)):
