@@ -108,16 +108,23 @@ def _guarded_rank(svals: np.ndarray, scale: float | None = None) -> int:
     return rank
 
 
+# Block size of the Cholesky full-rank test and its norm.
+_CHOLESKY_BLOCK = 256
+
+
 def numeric_rank(matrix: np.ndarray) -> int:
     """Rank by singular values, refusing to guess near the threshold.
 
     A clearly full rank is read from the Gram matrix G of the short side
-    (p x p, the long side having k entries): forming G and its eigenvalues
-    moves them by at most about (p + k) p eps lambda_max.  When that bound
-    is at most 1e-2 GAP_GUARD RANK_THRESHOLD and lambda_min >= GAP_GUARD
-    RANK_THRESHOLD lambda_max > 0, sigma_min / sigma_max is about 1e-3 or
-    more, so the SVD would return p without reaching the gap check, and p
-    is returned.  Every other matrix goes to the SVD and _guarded_rank.
+    (p x p, the long side having k entries) without its spectrum: forming
+    G moves its eigenvalues by at most about (p + k) p eps lambda_max, and
+    when that bound is at most 1e-2 GAP_GUARD RANK_THRESHOLD, p is
+    returned if G - 2 GAP_GUARD RANK_THRESHOLD ||G||_1 I has a Cholesky
+    factor.  ||G||_1 >= lambda_max, and the factor 2 covers the Cholesky
+    backward error of about p^2 eps ||G||, so success means lambda_min >=
+    GAP_GUARD RANK_THRESHOLD lambda_max: sigma_min / sigma_max is about
+    1e-3 or more, and the SVD would return p without reaching the gap
+    check.  Every other matrix goes to the SVD and _guarded_rank.
     """
     if matrix.size == 0:
         return 0
@@ -125,10 +132,39 @@ def numeric_rank(matrix: np.ndarray) -> int:
     eps = np.finfo(matrix.dtype if matrix.dtype.kind in "fc" else float).eps
     if (short + long) * short * eps <= 1e-2 * GAP_GUARD * RANK_THRESHOLD:
         wide = matrix if matrix.shape[0] == short else matrix.T
-        lam = np.linalg.eigvalsh(wide @ wide.conj().T)
-        if lam[-1] > 0.0 and lam[0] >= GAP_GUARD * RANK_THRESHOLD * lam[-1]:
+        gram = wide @ wide.conj().T
+        # ||G||_1 by column blocks, without a full-size |G| temporary
+        norm1 = max(np.abs(gram[:, k:k + _CHOLESKY_BLOCK]).sum(axis=0).max()
+                    for k in range(0, short, _CHOLESKY_BLOCK))
+        gram.flat[::short + 1] -= 2 * GAP_GUARD * RANK_THRESHOLD * norm1
+        if _has_cholesky_factor(gram):
             return short
+        del gram        # freed before the SVD copies the matrix
     return _guarded_rank(np.linalg.svd(matrix, compute_uv=False))
+
+
+def _has_cholesky_factor(gram: np.ndarray) -> bool:
+    """Whether the Hermitian matrix gram has a Cholesky factor.
+
+    Right-looking block Cholesky that overwrites the upper triangle of
+    gram: np.linalg.cholesky runs on the diagonal blocks only, so the
+    temporaries are a few block rows instead of the two full copies that
+    np.linalg.cholesky of the whole matrix would hold beside it.
+    """
+    p = gram.shape[0]
+    for k in range(0, p, _CHOLESKY_BLOCK):
+        e = min(k + _CHOLESKY_BLOCK, p)
+        try:
+            factor = np.linalg.cholesky(gram[k:e, k:e])
+        except np.linalg.LinAlgError:
+            return False
+        # L21^H = L11^{-1} A12; the trailing block loses L21 L21^H
+        panel = np.linalg.solve(factor, gram[k:e, e:])
+        for r in range(e, p, _CHOLESKY_BLOCK):
+            c = r - e
+            gram[r:r + _CHOLESKY_BLOCK, r:] -= \
+                panel[:, c:c + _CHOLESKY_BLOCK].conj().T @ panel[:, c:]
+    return True
 
 
 def nullspace(matrix: np.ndarray, scale: float | None = None) -> np.ndarray:
@@ -400,13 +436,15 @@ def dimension_certificate(n: int, q=Fraction(2)) -> dict:
     therefore stands for both with weight sqrt(2), and each self-conjugate
     shape keeps weight 1: the matrix M has the same M M^H as the full
     direct sum, hence the same singular values.  numeric_rank reads a
-    clearly full rank from the Gram matrix and takes the SVD otherwise.
+    clearly full rank from a Cholesky test of the Gram matrix and takes
+    the SVD otherwise.
 
     Raises ValueError before allocating when the word matrix and the
     rank solve's peak would exceed physical memory.  The peak is bounded
-    by the larger of a copy of the matrix beside the Gram matrix (the
-    SVD's copy, or the conjugate a complex Gram product is formed from)
-    and the Gram matrix beside the eigensolver's copy of it.
+    by a copy of the matrix beside the Gram matrix: the conjugate a
+    complex Gram product is formed from, or, since the Gram matrix is
+    freed first, the SVD's copy; the block Cholesky test adds only a few
+    block rows to the Gram matrix.
     """
     if n < 2:
         raise ValueError("dimension_certificate needs n >= 2")
@@ -419,9 +457,7 @@ def dimension_certificate(n: int, q=Fraction(2)) -> dict:
     cols = sum(rep.dim ** 2 for rep, _ in blocks)
     dtype = np.result_type(*(rep.generator_matrices[0].dtype
                              for rep, _ in blocks))
-    gram = min(rows, cols) ** 2
-    need = (rows * cols + max(rows * cols + gram, 2 * gram)) \
-        * np.dtype(dtype).itemsize
+    need = (2 * rows * cols + min(rows, cols) ** 2) * np.dtype(dtype).itemsize
     budget = _physical_memory()
     if budget is not None and need > budget:
         raise ValueError(

@@ -260,6 +260,15 @@ class RationalFunction:
         raise AttributeError("RationalFunction is immutable")
 
     @staticmethod
+    def _canonical(num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """Wrap num/den without a gcd; the caller guarantees canonical form
+        (coprime, den monic, den = 1 when num = 0)."""
+        rf = object.__new__(RationalFunction)
+        object.__setattr__(rf, "num", num)
+        object.__setattr__(rf, "den", den)
+        return rf
+
+    @staticmethod
     def q() -> "RationalFunction":
         return RationalFunction(Polynomial.q_power(1))
 

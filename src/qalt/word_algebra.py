@@ -33,16 +33,20 @@ one letter at a time, using the consequences of the defining relations:
     a_i a_j = a_j a_i                                    (|i - j| > 1, i, j > 1).
 
 All structure constants are integer polynomials in u = c^2, so the engine
-works over Z[u] and converts to rational functions in q only at the edge.
+works over Z[u] and converts to rational functions in q only at the edge,
+by a closed form that is already in lowest terms.  Both calculi keep their
+coefficients in Z[q, 1/(q+1)], as integer polynomials over a power of
+(q+1), so neither runs a polynomial gcd.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .scalars import RationalFunction
+from .scalars import Polynomial, RationalFunction
 
 __all__ = [
     "Permutation",
@@ -184,7 +188,7 @@ def enumerate_even_uwords(n: int) -> list[UWord]:
 
 
 # ---------------------------------------------------------------------------
-# the constant c^2 and integer polynomials in u = c^2
+# the constant c^2 and integer polynomials
 
 def c_squared() -> RationalFunction:
     """The twist constant c^2 = ((q-1)/(q+1))^2 of the defining relations."""
@@ -192,8 +196,9 @@ def c_squared() -> RationalFunction:
     return ((q - 1) / (q + 1)) ** 2
 
 
-# u-polynomials: integer coefficient tuples, ascending powers of u = c^2,
-# no trailing zeros.  The empty tuple is zero.
+# Integer polynomials: coefficient tuples, ascending powers, no trailing
+# zeros; the empty tuple is zero.  The engine's are polynomials in u = c^2,
+# the coefficient ring's below are polynomials in q.
 _UONE = (1,)
 _U = (0, 1)
 
@@ -214,7 +219,7 @@ def _u_neg(a: tuple) -> tuple:
 
 
 def _u_shift(a: tuple) -> tuple:
-    # multiply by u
+    # multiply by the variable
     return ((0,) + a) if a else ()
 
 
@@ -231,17 +236,59 @@ def _u_mul(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
-_C2_POWERS: list[RationalFunction] = [RationalFunction.one()]
+# ---------------------------------------------------------------------------
+# the coefficient ring Z[q, 1/(q+1)]
+#
+# An element is num/(q+1)^e with num an integer polynomial in q.  Every
+# coefficient of the engine lies here, since u = (q-1)^2/(q+1)^2, and so
+# does every T-basis coefficient of an f-word, since f_i = (2 g_i - (q-1))
+# /(q+1).  Sums and products need no gcd; (q+1) factors are cancelled only
+# where a canonical RationalFunction is built.
+
+_Q_MINUS_ONE_SQ = (1, -2, 1)
+_Q_PLUS_ONE_SQ = (1, 2, 1)
+
+
+def _q_plus_one_power(e: int) -> tuple:
+    return tuple(math.comb(e, k) for k in range(e + 1))
+
+
+def _ring_to_rf(num: tuple, e: int) -> RationalFunction:
+    """Canonical num/(q+1)^e: divide num by (q+1) while q = -1 is a root."""
+    if not num:
+        return RationalFunction.zero()
+    while e:
+        # synthetic division by q + 1, highest coefficient first
+        quot = [0] * (len(num) - 1)
+        carry = 0
+        for k in range(len(num) - 1, 0, -1):
+            carry = num[k] - carry
+            quot[k - 1] = carry
+        if num[0] != carry:         # nonzero remainder num(-1)
+            break
+        num, e = tuple(quot), e - 1
+    return RationalFunction._canonical(Polynomial(num),
+                                       Polynomial(_q_plus_one_power(e)))
 
 
 def _u_to_rf(p: tuple) -> RationalFunction:
-    while len(_C2_POWERS) < len(p):
-        _C2_POWERS.append(_C2_POWERS[-1] * c_squared())
-    acc = RationalFunction.zero()
-    for k, a in enumerate(p):
+    """p(u) in Q(q): sum_j a_j (q-1)^{2j} (q+1)^{2(k-j)} over (q+1)^{2k}.
+
+    The numerator is a_k 4^k at q = -1 (k the degree of p), never zero, so
+    the fraction is already reduced and no gcd runs.
+    """
+    k = len(p) - 1
+    while k >= 0 and not p[k]:
+        k -= 1
+    if k < 0:
+        return RationalFunction.zero()
+    num, den = (p[k],), _UONE
+    for a in reversed(p[:k]):
+        den = _u_mul(den, _Q_PLUS_ONE_SQ)
+        num = _u_mul(num, _Q_MINUS_ONE_SQ)
         if a:
-            acc = acc + _C2_POWERS[k] * a
-    return acc
+            num = _u_add(num, tuple(a * x for x in den))
+    return RationalFunction._canonical(Polynomial(num), Polynomial(den))
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +607,9 @@ def parse_y_word(text: str) -> YWord:
 def rewrite_y_word(word, n: int) -> NormalFormCombination:
     """Reduce a word in the generators onto the normal-form basis.
 
-    The result is exact; coefficient denominators are powers of (q + 1).
+    The result is exact.  Every coefficient is p(c^2) for an integer
+    polynomial p, an element of Z[q, 1/(q+1)] with denominator
+    (q+1)^(2 deg p), handed out as a canonical RationalFunction.
     """
     letters = word.letters if isinstance(word, YWord) else tuple(word)
     return _u_comb_to_rf(_rewrite_letters_u(letters, n), n)
@@ -662,42 +711,59 @@ def verify_presentation_relations(n: int) -> dict:
 # exact Hecke algebra elements in the T_w basis
 
 class HeckeElement:
-    """Exact element of H_n(q): map from one-line permutations to coefficients."""
+    """Exact element of H_n(q) in the T_w basis, over Z[q, 1/(q+1)].
 
-    __slots__ = ("n", "terms")
+    terms maps one-line permutations w to integer polynomials in q (tuples
+    as in the engine, never zero), all over the one denominator
+    (q+1)^exp, so the coefficient of T_w is terms[w]/(q+1)^exp and the
+    ring arithmetic below runs on integers alone.  coefficient(w) cancels
+    the (q+1) factors and gives the canonical RationalFunction.
+    """
 
-    def __init__(self, n: int, terms: dict | None = None):
+    __slots__ = ("n", "terms", "exp")
+
+    def __init__(self, n: int, terms: dict | None = None, exp: int = 0):
         self.n = n
-        self.terms: dict[tuple[int, ...], RationalFunction] = {}
-        if terms:
-            for w, c in terms.items():
-                if not c.is_zero:
-                    self.terms[w] = c
+        self.exp = exp
+        self.terms: dict[tuple[int, ...], tuple] = \
+            {w: c for w, c in terms.items() if c} if terms else {}
 
     @staticmethod
     def unit(n: int) -> "HeckeElement":
-        return HeckeElement(n, {tuple(range(1, n + 1)): RationalFunction.one()})
+        return HeckeElement(n, {tuple(range(1, n + 1)): _UONE})
 
-    def _add_term(self, w: tuple[int, ...], c: RationalFunction) -> None:
-        cur = self.terms.get(w)
-        total = c if cur is None else cur + c
-        if total.is_zero:
-            self.terms.pop(w, None)
-        else:
-            self.terms[w] = total
+    def coefficient(self, w: tuple[int, ...]) -> RationalFunction:
+        """The coefficient of T_w in canonical form."""
+        return _ring_to_rf(self.terms.get(tuple(w), ()), self.exp)
+
+    def _combine(self, other: "HeckeElement", sign: int) -> "HeckeElement":
+        # self + sign * other, over the larger of the two denominators
+        exp = max(self.exp, other.exp)
+        lift_a = _q_plus_one_power(exp - self.exp)
+        lift_b = _u_mul(_q_plus_one_power(exp - other.exp), (sign,))
+        terms = {w: _u_mul(c, lift_a) for w, c in self.terms.items()}
+        for w, c in other.terms.items():
+            _add_into(terms, w, _u_mul(c, lift_b))
+        return HeckeElement(self.n, terms, exp)
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        out = HeckeElement(self.n, dict(self.terms))
-        for w, c in other.terms.items():
-            out._add_term(w, c)
-        return out
-
-    def scale(self, factor: RationalFunction) -> "HeckeElement":
-        return HeckeElement(self.n,
-                            {w: c * factor for w, c in self.terms.items()})
+        return self._combine(other, 1)
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + other.scale(RationalFunction(-1))
+        return self._combine(other, -1)
+
+    def scale(self, factor: RationalFunction) -> "HeckeElement":
+        """Multiply by a RationalFunction whose denominator is a power of
+        (q+1); any other denominator lies outside the ring."""
+        den = factor.den.coeffs
+        if den != _q_plus_one_power(len(den) - 1):
+            raise ValueError(f"scale factor {factor} has a denominator that "
+                             f"is not a power of (q+1)")
+        num = tuple(int(c) if c.denominator == 1 else c
+                    for c in factor.num.coeffs)
+        return HeckeElement(self.n,
+                            {w: _u_mul(c, num) for w, c in self.terms.items()},
+                            self.exp + len(den) - 1)
 
     @property
     def is_zero(self) -> bool:
@@ -711,25 +777,37 @@ class HeckeElement:
         """
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"generator index {i} out of range")
-        q = RationalFunction.q()
-        out = HeckeElement(self.n)
+        terms: dict = {}
         for w, c in self.terms.items():
-            ws = list(w)
-            ws[i - 1], ws[i] = ws[i], ws[i - 1]
-            ws = tuple(ws)
+            ws = _swap(w, i)
             if w[i - 1] < w[i]:
-                out._add_term(ws, c)
+                _add_into(terms, ws, c)
             else:
-                out._add_term(w, c * (q - 1))
-                out._add_term(ws, c * q)
-        return out
+                qc = _u_shift(c)
+                _add_into(terms, w, _u_add(qc, _u_neg(c)))
+                _add_into(terms, ws, qc)
+        return HeckeElement(self.n, terms, self.exp)
 
     def rmul_f(self, i: int) -> "HeckeElement":
         """Right multiplication by f_i = (2 g_i - (q - 1))/(q + 1)."""
-        q = RationalFunction.q()
-        two_g = self.rmul_g(i).scale(RationalFunction(2))
-        shifted = two_g - self.scale(q - 1)
-        return shifted.scale(RationalFunction(1) / (q + 1))
+        terms = {w: tuple(2 * x for x in c)
+                 for w, c in self.rmul_g(i).terms.items()}
+        for w, c in self.terms.items():
+            _add_into(terms, w, _u_mul(c, (1, -1)))     # (1 - q) c
+        return HeckeElement(self.n, terms, self.exp + 1)
+
+
+def _swap(w: tuple[int, ...], i: int) -> tuple[int, ...]:
+    # w s_i in one-line form: the entries at positions i and i+1 trade places
+    return w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
+
+
+def _add_into(terms: dict, w, c: tuple) -> None:
+    total = _u_add(terms[w], c) if w in terms else c
+    if total:
+        terms[w] = total
+    else:
+        terms.pop(w, None)
 
 
 def _f_word(n: int, letters: Sequence[int]) -> HeckeElement:

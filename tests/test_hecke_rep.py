@@ -309,6 +309,63 @@ def test_numeric_rank_of_deficient_matrix_comes_from_svd(svd_calls):
     assert len(svd_calls) == 2
 
 
+def shifted_hadamard_root(delta, phases):
+    """M with M M^H = D ((2 + delta) I + H) D^H, H the 4x4 Hadamard matrix
+    and D = diag(exp(i phases)): lambda = delta (twice) and 4 + delta
+    (twice), while ||G||_1 = 6 + delta, half as much again as lambda_max."""
+    h = np.array([[1, 1, 1, 1], [1, -1, 1, -1],
+                  [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
+    root = np.linalg.cholesky((2 + delta) * np.eye(4) + h)
+    if phases is None:
+        return root
+    return np.exp(1j * np.asarray(phases))[:, None] * root
+
+
+@pytest.mark.parametrize("phases", [None, [0.0, 0.4, 1.3, 2.9]])
+def test_numeric_rank_shift_uses_the_one_norm_with_a_factor_two(phases,
+                                                                svd_calls):
+    # lambda_min / ||G||_1 = 3e-6 clears the shift 2e-6 ||G||_1: Cholesky
+    # succeeds and no SVD runs
+    assert numeric_rank(shifted_hadamard_root(6 * 3e-6 / (1 - 3e-6),
+                                              phases)) == 4
+    assert svd_calls == []
+    # lambda_min / ||G||_1 = 1.5e-6 fails that shift, though it would clear
+    # 1e-6 ||G||_1 or 2e-6 lambda_max (lambda_min / lambda_max = 2.25e-6):
+    # one SVD decides, and the rank is still full
+    assert numeric_rank(shifted_hadamard_root(6 * 1.5e-6 / (1 - 1.5e-6),
+                                              phases)) == 4
+    assert len(svd_calls) == 1
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_block_cholesky_test_matches_the_spectrum(dtype, monkeypatch):
+    # blocks of 3 so that every path of the blocked loop runs; the shift
+    # sits halfway between two eigenvalues, so definiteness is clear-cut
+    monkeypatch.setattr(hecke_rep, "_CHOLESKY_BLOCK", 3)
+    rng = np.random.default_rng(14)
+    for _ in range(40):
+        p = int(rng.integers(1, 12))
+        m = rng.standard_normal((p, p + 2)).astype(dtype)
+        if dtype is np.complex128:
+            m = m + 1j * rng.standard_normal((p, p + 2))
+        gram = m @ m.conj().T
+        lam = np.linalg.eigvalsh(gram)
+        j = int(rng.integers(0, p))
+        gram -= (lam[0] / 2 if j == 0 else (lam[j - 1] + lam[j]) / 2) \
+            * np.eye(p)
+        assert hecke_rep._has_cholesky_factor(gram) == (j == 0)
+
+
+def test_numeric_rank_refusal_comes_from_the_svd(svd_calls):
+    # the shifted Gram matrix has no Cholesky factor, and the SVD's
+    # refusal and its message are those of the rank rule
+    with pytest.raises(IndeterminateRankError,
+                       match=r"^singular values 2\.000e-08 and 1\.000e-09 "
+                             r"straddle the cutoff without a 1e\+02 gap$"):
+        numeric_rank(np.diag([1.0, 5e-8, 2e-8, 1e-9]))
+    assert len(svd_calls) == 1
+
+
 def test_numeric_rank_gram_path_needs_the_rounding_bound(svd_calls):
     # at single precision (p + k) p eps exceeds 1e-2 GAP_GUARD RANK_THRESHOLD
     # for every shape, so even a well-conditioned matrix goes to the SVD
@@ -392,10 +449,8 @@ def test_dimension_certificate_matches_all_shapes_oracle(n, q):
 
 
 def certificate_gb(rows, cols, itemsize):
-    # the word matrix, then a copy of it beside the Gram matrix or the Gram
-    # matrix beside the eigensolver's copy, whichever is larger
-    gram = min(rows, cols) ** 2
-    return (rows * cols + max(rows * cols + gram, 2 * gram)) * itemsize / 1e9
+    # the word matrix, then a copy of it beside the Gram matrix
+    return (2 * rows * cols + min(rows, cols) ** 2) * itemsize / 1e9
 
 
 def test_dimension_certificate_refuses_beyond_physical_memory(monkeypatch):

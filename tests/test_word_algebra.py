@@ -11,10 +11,12 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qalt import word_algebra
 from qalt.scalars import RationalFunction
 from qalt.word_algebra import (
     HeckeElement,
@@ -185,6 +187,134 @@ def test_hecke_f_relations_exact():
     for n in (3, 4):
         report = hecke_f_relation_check_exact(n)
         assert report["pass"], report
+
+
+# -- the coefficient ring Z[q, 1/(q+1)] -----------------------------------------
+
+def test_u_to_rf_matches_powers_of_c_squared():
+    # oracle: sum_j a_j (c^2)^j in gcd-reduced RationalFunction arithmetic
+    rng = np.random.default_rng(5)
+    c2 = c_squared()
+    polys = [(), (0,), (0, 0, 0), (3,), (0, 0, 1), (1, -1, 0, 0)]
+    for _ in range(120):
+        p = rng.integers(-4, 5, int(rng.integers(1, 9)))
+        p[:int(rng.integers(0, 3))] = 0         # zero low coefficients
+        polys.append(tuple(int(a) for a in p))  # and often a zero top one
+    for p in polys:
+        oracle = RationalFunction.zero()
+        for j, a in enumerate(p):
+            oracle = oracle + c2 ** j * a
+        got = word_algebra._u_to_rf(p)
+        assert (got.num, got.den) == (oracle.num, oracle.den), p
+
+
+class RationalHecke:
+    """T-basis element with RationalFunction coefficients, the reference
+    for HeckeElement's integer arithmetic."""
+
+    def __init__(self, n, terms=None):
+        self.n = n
+        self.terms = {w: c for w, c in (terms or {}).items() if not c.is_zero}
+
+    @staticmethod
+    def unit(n):
+        identity = tuple(range(1, n + 1))
+        return RationalHecke(n, {identity: RationalFunction.one()})
+
+    def _plus(self, other, sign):
+        terms = dict(self.terms)
+        for w, c in other.terms.items():
+            terms[w] = terms.get(w, RationalFunction.zero()) + c * sign
+        return RationalHecke(self.n, terms)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def scale(self, factor):
+        return RationalHecke(self.n,
+                             {w: c * factor for w, c in self.terms.items()})
+
+    def rmul_g(self, i):
+        q = RationalFunction.q()
+        out = RationalHecke(self.n)
+        for w, c in self.terms.items():
+            ws = list(w)
+            ws[i - 1], ws[i] = ws[i], ws[i - 1]
+            if w[i - 1] < w[i]:
+                part = {tuple(ws): c}
+            else:
+                part = {w: c * (q - 1), tuple(ws): c * q}
+            out = out + RationalHecke(self.n, part)
+        return out
+
+    def rmul_f(self, i):
+        q = RationalFunction.q()
+        return (self.rmul_g(i).scale(RationalFunction(2)) - self.scale(q - 1)) \
+            .scale(1 / (q + 1))
+
+
+def _scale_factors():
+    q = RationalFunction.q()
+    return (c_squared(), q - 1, (q ** 2 + 3) / (q + 1) ** 3,
+            RationalFunction(Fraction(-3, 2)), RationalFunction.zero())
+
+
+@st.composite
+def hecke_programs(draw):
+    n = draw(st.integers(min_value=3, max_value=4))
+    steps = draw(st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(["g", "f"]),
+                      st.integers(min_value=1, max_value=n - 1)),
+            st.tuples(st.just("scale"),
+                      st.integers(0, len(_scale_factors()) - 1)),
+            st.tuples(st.sampled_from(["add", "sub"]),
+                      st.lists(st.integers(min_value=1, max_value=n - 1),
+                               max_size=4))),
+        max_size=10))
+    return n, steps
+
+
+@given(hecke_programs())
+@settings(max_examples=80, deadline=None)
+def test_hecke_ring_arithmetic_matches_rational_functions(case):
+    n, steps = case
+    got, ref = HeckeElement.unit(n), RationalHecke.unit(n)
+    for op, arg in steps:
+        if op == "g":
+            got, ref = got.rmul_g(arg), ref.rmul_g(arg)
+        elif op == "f":
+            got, ref = got.rmul_f(arg), ref.rmul_f(arg)
+        elif op == "scale":
+            factor = _scale_factors()[arg]
+            got, ref = got.scale(factor), ref.scale(factor)
+        else:
+            other, other_ref = HeckeElement.unit(n), RationalHecke.unit(n)
+            for i in arg:
+                other, other_ref = other.rmul_f(i), other_ref.rmul_f(i)
+            if op == "add":
+                got, ref = got + other, ref + other_ref
+            else:
+                got, ref = got - other, ref - other_ref
+    assert set(got.terms) == set(ref.terms)
+    assert got.is_zero == (not ref.terms)
+    for w in itertools.permutations(range(1, n + 1)):
+        expected = ref.terms.get(w, RationalFunction.zero())
+        coeff = got.coefficient(w)
+        assert (coeff.num, coeff.den) == (expected.num, expected.den)
+
+
+def test_hecke_scale_needs_a_power_of_q_plus_one():
+    q = RationalFunction.q()
+    unit = HeckeElement.unit(3)
+    for factor in (1 / q, 1 / (q + 2), 1 / (q ** 2 + 1), (q + 1) / (q - 1)):
+        with pytest.raises(ValueError, match="not a power of"):
+            unit.scale(factor)
+    scaled = unit.scale(Fraction(1, 3) / (q + 1) ** 2)
+    assert scaled.coefficient((1, 2, 3)) == Fraction(1, 3) / (q + 1) ** 2
 
 
 @st.composite
