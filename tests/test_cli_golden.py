@@ -1,4 +1,5 @@
-"""Byte-identity guard: CLI output of the exact layer and the rank certificate.
+"""Byte-identity guard: CLI output of the exact layer, the rank certificate
+and the classification.
 
 tests/data/cli_golden.json holds, for every request listed by `requests()`,
 its exit code and the sha256 digests of its stdout and stderr.  The
@@ -9,18 +10,30 @@ requests are:
   acceptance suite and at 1+0.5i;
 - `verify --seed 7` at n = 5 and 6 for q in {2, 3/2, 0.3, 1+0.5i};
 - `dim` at n = 3..6 for q in {2, 3/2, 0.3, 1+0.5i, -0.9, 1e-5}; some of
-  these exit 3 (indeterminate rank), and the message is part of stderr.
+  these exit 3 (indeterminate rank), and the message is part of stderr;
+- `classify` and `induce` (the whole table) at n = 3..6, at each sample
+  q of the acceptance suite and at 1+0.5i, and `induce --n 6 --q 2
+  --label` for a whole label (4,2) and a split one (3,2,1:plus).
 
-The digests were recorded at commit da32be3, where every exact
-coefficient was built by gcd-reduced RationalFunction arithmetic and a
-full rank was read from the Gram matrix's eigenvalues; they pin the
-output of the current code to that one.  Canonical num/den are unique and
-every value is evaluated from them, so the bytes must not move.  To
-record the file again, run from the root of the repository:
+The rewrite, verify_seed and dim digests were recorded at commit
+da32be3, where every exact coefficient was built by gcd-reduced
+RationalFunction arithmetic and a full rank was read from the Gram
+matrix's eigenvalues; they pin the output of the current code to that
+one.  Canonical num/den are unique and every value is evaluated from
+them, so the bytes must not move.  The classify and induce digests were
+recorded at commit 78f5474, where every Hom solve eigendecomposed both
+of its sides afresh and the seminormal matrices were built entry by
+entry from partner tableaux; reusing one spectral record per side keeps
+every floating-point operation, so those bytes must not move either.
 
-    PYTHONPATH=src python tests/test_cli_golden.py > tests/data/cli_golden.json
+To record groups again, run from the root of the repository, naming
+the groups:
 
-and only when an output change is intended.
+    PYTHONPATH=src python tests/test_cli_golden.py classify induce
+
+This rewrites only the named groups of tests/data/cli_golden.json (in
+the order of `requests()`) and copies every other group unchanged.  Do
+it only when an output change is intended, or to add a new group.
 """
 
 import hashlib
@@ -41,6 +54,7 @@ SAMPLE_Q = ("2", "3/2", "5/7", "0.3", "1.7")
 COMPLEX_Q = "1+0.5i"
 DIM_Q = ("2", "3/2", "0.3", "1+0.5i", "-0.9", "1e-5")
 VERIFY_Q = ("2", "3/2", "0.3", "1+0.5i")
+INDUCE_LABELS = ("4,2", "3,2,1:plus")
 
 
 def requests() -> dict:
@@ -58,7 +72,14 @@ def requests() -> dict:
               for n in (5, 6) for q in VERIFY_Q]
     dim = [["dim", "--n", str(n), "--q", q]
            for n in range(3, 7) for q in DIM_Q]
-    return {"rewrite": rewrite, "verify_seed": verify, "dim": dim}
+    classify = [["classify", "--n", str(n), "--q", q]
+                for n in range(3, 7) for q in SAMPLE_Q + (COMPLEX_Q,)]
+    induce = [["induce", "--n", str(n), "--q", q]
+              for n in range(3, 7) for q in SAMPLE_Q + (COMPLEX_Q,)]
+    induce += [["induce", "--n", "6", "--q", "2", "--label", label]
+               for label in INDUCE_LABELS]
+    return {"rewrite": rewrite, "verify_seed": verify, "dim": dim,
+            "classify": classify, "induce": induce}
 
 
 def record(argv: list) -> dict:
@@ -75,7 +96,7 @@ def record(argv: list) -> dict:
             "stdout_sha256": digest(out), "stderr_sha256": digest(err)}
 
 
-@pytest.mark.parametrize("group", ["rewrite", "verify_seed", "dim"])
+@pytest.mark.parametrize("group", list(requests()))
 def test_cli_output_matches_golden(group):
     golden = json.loads(GOLDEN.read_text())[group]
     argvs = requests()[group]
@@ -85,9 +106,22 @@ def test_cli_output_matches_golden(group):
     assert changed == []
 
 
+def rerecord(names: list) -> None:
+    """Record the named groups again; keep every other group as it is."""
+    argvs = requests()
+    unknown = sorted(set(names) - set(argvs))
+    if not names or unknown:
+        raise SystemExit(f"name groups to record from {list(argvs)}"
+                         + (f"; unknown: {unknown}" if unknown else ""))
+    golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for name in names:
+        golden[name] = [record(argv) for argv in argvs[name]]
+    # one request per line, groups in the order of requests()
+    groups = [f'"{group}": [\n' + ",\n".join(json.dumps(entry)
+                                             for entry in golden[group])
+              + "\n]" for group in argvs if group in golden]
+    GOLDEN.write_text("{" + ",\n".join(groups) + "}\n")
+
+
 if __name__ == "__main__":
-    # one request per line
-    groups = [f'"{group}": [\n' + ",\n".join(json.dumps(record(argv))
-                                             for argv in argvs) + "\n]"
-              for group, argvs in requests().items()]
-    sys.stdout.write("{" + ",\n".join(groups) + "}\n")
+    rerecord(sys.argv[1:])
