@@ -27,19 +27,28 @@ X in Hom also intertwines the generic elements Z = sum r_i Y_i (fixed
 coefficients r) of both sides, so it lies in the span of the rank-one
 matrices built from eigenvector pairs of Z2 and Z1 whose eigenvalues
 agree within a candidate band; the system is then solved on an
-orthonormal basis of that span.  The band and the rank cutoff are both
+orthonormal basis of that span.  Each side's generators, the
+eigendecomposition of its Z and its generator norm bounds form one
+HomSide record, computed once per representation and reused by every
+solve the representation enters: a RestrictedRep owns its record, and
+classify keeps one per label on its report for the pairwise checks and
+the induction multiplicities.  The band and the rank cutoff are both
 measured against a reference scale: the largest singular value of the
 full system, estimated by a fixed-seed power iteration.  Every rank or
 nullity decision goes through hecke_rep.numeric_rank or
 hecke_rep.nullspace, whose singular-value threshold has an explicit gap
 guard: a spectrum without a clear gap raises IndeterminateRankError
-instead of guessing.
+instead of guessing.  Residuals (of an intertwiner, and of the split
+halves' invariance) are tested against tol times the larger of 1 and the
+generators' largest norm bound, since their rounding error grows with
+the entries, which reach about 4e4 near q = -1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -59,6 +68,7 @@ from .tableaux import YoungDiagram, enumerate_diagrams, transpose
 __all__ = [
     "IndeterminateRankError",
     "RestrictedRep",
+    "HomSide",
     "Intertwiner",
     "DecompositionReport",
     "restrict",
@@ -88,6 +98,11 @@ class RestrictedRep:
     def n(self) -> int:
         return self.source.n
 
+    @cached_property
+    def hom_side(self) -> HomSide:
+        """The spectral record shared by every Hom solve this side enters."""
+        return HomSide(self.y_matrices)
+
 
 @dataclass(frozen=True)
 class Intertwiner:
@@ -108,12 +123,6 @@ def restrict(rep: Representation) -> RestrictedRep:
 
 # ---------------------------------------------------------------------------
 # Hom spaces
-
-def _y_matrices(r) -> Sequence[np.ndarray]:
-    if isinstance(r, RestrictedRep):
-        return r.y_matrices
-    return tuple(r)
-
 
 # Fixed seed of the generic element's coefficients and of the power
 # iteration's start vector, so that every solve is reproducible.
@@ -163,31 +172,80 @@ def _norm_bounds(m: np.ndarray) -> np.ndarray:
     return np.sqrt(absm.sum(axis=1).max(axis=1) * absm.sum(axis=2).max(axis=1))
 
 
-def _hom(y1: Sequence[np.ndarray], y2: Sequence[np.ndarray]) -> np.ndarray:
+def _generic_coefficients(count: int) -> np.ndarray:
+    """The fixed coefficients r_i of the generic element Z = sum r_i Y_i."""
+    return np.random.default_rng(_GENERIC_SEED).standard_normal(count)
+
+
+class HomSide:
+    """One side of the Hom solves it enters, decomposed once.
+
+    Holds the stacked generators Y_i, the eigenvalues and eigenvectors of
+    the generic element Z = sum r_i Y_i, and the _norm_bounds of the Y_i;
+    the inverse eigenvector matrix is formed on first use, by a solve that
+    keeps a pair.  A record lives as long as the representation (or the
+    report) that holds it: nothing is cached across requests.
+    """
+
+    def __init__(self, y_matrices: Sequence[np.ndarray]):
+        self.y_matrices = np.stack(y_matrices)
+        self.eigenvalues, self.eigenvectors = np.linalg.eig(np.tensordot(
+            _generic_coefficients(len(self.y_matrices)), self.y_matrices,
+            axes=1))
+        self.norm_bounds = _norm_bounds(self.y_matrices)
+
+    @cached_property
+    def inverse_eigenvectors(self) -> np.ndarray:
+        return np.linalg.inv(self.eigenvectors)
+
+
+def _residual_limit(tol: float, *sides: HomSide) -> float:
+    """tol times the larger of 1 and the sides' largest generator norm bound.
+
+    The rounding error of a product with the generators grows with their
+    size, which reaches about 4e4 near q = -1.
+    """
+    return tol * max(1.0, *(float(side.norm_bounds.max()) for side in sides))
+
+
+def _side(r) -> HomSide | None:
+    """The record of a RestrictedRep, a record, or a raw matrix sequence;
+    None when there are no generators (n = 2)."""
+    if isinstance(r, HomSide):
+        return r
+    if isinstance(r, RestrictedRep):
+        return r.hom_side if r.y_matrices else None
+    mats = tuple(r)
+    return HomSide(mats) if mats else None
+
+
+def _hom(r1, r2) -> np.ndarray:
     """Basis rows of {X : X Y1_i = Y2_i X}, X of size dim2 x dim1, flattened.
 
+    r1 and r2 are anything _side accepts; pass a HomSide (or a
+    RestrictedRep, which owns one) to reuse its eigendecomposition.
     Every such X also intertwines the generic elements Z1 = sum r_i Y1_i
     and Z2 = sum r_i Y2_i, so it lies in the span of the rank-one matrices
-    p2_k (x) p1inv_l over eigenvalue pairs b_k = a_l of Z2 and Z1.  Pairs
-    are kept within a band wide enough for a singular value that could
-    reach the gap guard, and their neighbours within a wider one; the Hom
-    system is then solved on an orthonormal basis of that span (real for
-    real input), with the rank cut against the scale of the full system.
+    p2_k (x) p1inv_l over eigenvalue pairs b_k = a_l of Z2 and Z1, read
+    from the two sides' records.  Pairs are kept within a band wide enough
+    for a singular value that could reach the gap guard, and their
+    neighbours within a wider one; the Hom system is then solved on an
+    orthonormal basis of that span (real for real input), with the rank
+    cut against the scale of the full system.
     """
-    if len(y1) != len(y2):
-        raise ValueError("generator counts differ (mixed n)")
-    if not y1:
+    side1, side2 = _side(r1), _side(r2)
+    if side1 is None or side2 is None:
         raise ValueError("no generators to intertwine (n = 2)")
-    a, b = np.stack(y1), np.stack(y2)
+    a, b = side1.y_matrices, side2.y_matrices
+    if len(a) != len(b):
+        raise ValueError("generator counts differ (mixed n)")
     d1, d2 = a.shape[1], b.shape[1]
-    r = np.random.default_rng(_GENERIC_SEED).standard_normal(len(y1))
-    eig1, vec1 = np.linalg.eig(np.tensordot(r, a, axes=1))
-    eig2, vec2 = np.linalg.eig(np.tensordot(r, b, axes=1))
-    gaps = np.abs(eig2[:, None] - eig1[None, :])
-    width = np.abs(r).sum() * GAP_GUARD * RANK_THRESHOLD
+    gaps = np.abs(side2.eigenvalues[:, None] - side1.eigenvalues[None, :])
+    width = (np.abs(_generic_coefficients(len(a))).sum()
+             * GAP_GUARD * RANK_THRESHOLD)
     # the power iteration is skipped when no pair lies within the band of
     # an upper bound of the scale: then none lies within the true band
-    bound = float(np.linalg.norm(_norm_bounds(a) + _norm_bounds(b)))
+    bound = float(np.linalg.norm(side1.norm_bounds + side2.norm_bounds))
     scale = 0.0
     if np.any(gaps <= width * bound):
         scale = _hom_scale(a, b)
@@ -203,7 +261,8 @@ def _hom(y1: Sequence[np.ndarray], y2: Sequence[np.ndarray]) -> np.ndarray:
     size = ks.size
     if size == 0:
         return np.zeros((0, d2 * d1), dtype=np.result_type(a, b))
-    span = (vec2[:, None, ks] * np.linalg.inv(vec1)[ls].T[None]).reshape(-1, size)
+    span = (side2.eigenvectors[:, None, ks]
+            * side1.inverse_eigenvectors[ls].T[None]).reshape(-1, size)
     if np.isrealobj(a) and np.isrealobj(b):
         # the kept pairs are closed under conjugation, so the span has a
         # real orthonormal basis of the same dimension
@@ -217,30 +276,38 @@ def _hom(y1: Sequence[np.ndarray], y2: Sequence[np.ndarray]) -> np.ndarray:
 def commutant_dimension(r) -> int:
     """Dimension of {X : X commutes with every generator matrix}.
 
-    Accepts a RestrictedRep or a raw sequence of square matrices (so a
-    direct sum can be tested by passing block-diagonal matrices): 1 means
-    irreducible; a direct sum of two irreducibles gives 2 + (1 if they are
-    equivalent).
+    Accepts a RestrictedRep, a HomSide or a raw sequence of square
+    matrices (so a direct sum can be tested by passing block-diagonal
+    matrices): 1 means irreducible; a direct sum of two irreducibles gives
+    2 + (1 if they are equivalent).  Without generators (n = 2, where
+    every representation is one-dimensional) the answer is 1.
     """
-    mats = _y_matrices(r)
-    if not mats:
-        dim = r.dim if isinstance(r, RestrictedRep) else 1
-        return dim * dim
-    return _hom(mats, mats).shape[0]
+    side = _side(r)
+    if side is None:
+        return 1
+    return _hom(side, side).shape[0]
 
 
 def find_intertwiner(r1, r2, tol: float = 1e-10):
-    """A nonzero intertwiner from r1 to r2, or None if none exists."""
-    y1, y2 = _y_matrices(r1), _y_matrices(r2)
-    null = _hom(y1, y2)
+    """A nonzero intertwiner from r1 to r2, or None if none exists.
+
+    The intertwiner X is normalized to Frobenius norm 1, and its residual
+    max_i |Y2_i X - X Y1_i| must not exceed _residual_limit(tol) of the
+    two sides.
+    """
+    side1, side2 = _side(r1), _side(r2)
+    null = _hom(side1, side2)
     if null.shape[0] == 0:
         return None
-    x = null[0].reshape(y2[0].shape[0], y1[0].shape[0])
+    a, b = side1.y_matrices, side2.y_matrices
+    x = null[0].reshape(b.shape[1], a.shape[1])
     x = x / np.linalg.norm(x)
-    residual = max(sup_norm(b @ x - x @ a) for a, b in zip(y1, y2))
-    if residual > tol:
+    residual = max(sup_norm(bi @ x - x @ ai) for ai, bi in zip(a, b))
+    limit = _residual_limit(tol, side1, side2)
+    if residual > limit:
         raise IndeterminateRankError(
-            f"intertwiner residual {residual:.3e} exceeds tolerance {tol:.1e}")
+            f"intertwiner residual {residual:.3e} exceeds tolerance "
+            f"{limit:.1e} ({tol:.1e} times the generators' norm bound)")
     return Intertwiner(x, residual)
 
 
@@ -291,14 +358,15 @@ def split_self_conjugate(r: RestrictedRep, tol: float = 1e-10):
     of the non-scalar commutant element.  The literal plus/minus tableau
     combinations are evaluated as a diagnostic only; their invariance
     residual is reported without a verdict because their off-diagonal
-    signs are convention-dependent.
+    signs are convention-dependent.  The split passes when the halves'
+    invariance residual is below _residual_limit(tol) of r.
     """
     shape = r.source.shape
     if not shape.is_self_conjugate:
         raise ValueError(f"shape {shape.text()} is not self-conjugate")
     mats = r.y_matrices
     dim = r.dim
-    null = _hom(mats, mats)
+    null = _hom(r, r)
     if null.shape[0] != 2:
         raise IndeterminateRankError(
             f"commutant dimension {null.shape[0]}, expected 2 for a "
@@ -386,7 +454,7 @@ def split_self_conjugate(r: RestrictedRep, tol: float = 1e-10):
                            "basis; reported only, not used for the split",
             "invariance_residual": lit_residual,
         },
-        "pass": max(res_plus, res_minus) < tol,
+        "pass": max(res_plus, res_minus) < _residual_limit(tol, r.hom_side),
     }
     return plus_basis, minus_basis, report
 
@@ -403,7 +471,9 @@ class DecompositionReport:
     labels: list[dict]
     equivalences: list[list[str]]
     checks: dict
-    label_matrices: dict[str, list[np.ndarray]] = field(default_factory=dict)
+    # one spectral record per label (its y_matrices are the label's
+    # generator matrices), reused by every Hom solve the label enters
+    label_sides: dict[str, HomSide] = field(default_factory=dict)
     restrictions: dict[str, RestrictedRep] = field(default_factory=dict)
 
     def to_jsonable(self) -> dict:
@@ -438,7 +508,7 @@ def classify(n: int, q, tol: float = 1e-10) -> DecompositionReport:
 
     labels: list[dict] = []
     equivalences: list[list[str]] = []
-    label_matrices: dict[str, list[np.ndarray]] = {}
+    label_sides: dict[str, HomSide] = {}
     all_pass = True
 
     seen = set()
@@ -453,11 +523,12 @@ def classify(n: int, q, tol: float = 1e-10) -> DecompositionReport:
             plus_basis, minus_basis, split_report = split_self_conjugate(r, tol)
             all_pass = all_pass and split_report["pass"]
             for tag, basis in (("plus", plus_basis), ("minus", minus_basis)):
-                mats = [basis.conj().T @ y @ basis for y in r.y_matrices]
-                cdim = commutant_dimension(mats)
+                side = HomSide([basis.conj().T @ y @ basis
+                                for y in r.y_matrices])
+                cdim = commutant_dimension(side)
                 labels.append({"shape": text, "tag": tag,
                                "dim": basis.shape[1], "commutant_dim": cdim})
-                label_matrices[_label_key(text, tag)] = mats
+                label_sides[_label_key(text, tag)] = side
                 all_pass = all_pass and cdim == 1
         else:
             seen.add(text)
@@ -466,7 +537,7 @@ def classify(n: int, q, tol: float = 1e-10) -> DecompositionReport:
             cdim = commutant_dimension(r)
             labels.append({"shape": text, "tag": "whole",
                            "dim": r.dim, "commutant_dim": cdim})
-            label_matrices[_label_key(text, "whole")] = list(r.y_matrices)
+            label_sides[_label_key(text, "whole")] = r.hom_side
             all_pass = all_pass and cdim == 1
             partner = restrictions[flipped.text()]
             witness = find_intertwiner(r, partner, tol)
@@ -477,8 +548,8 @@ def classify(n: int, q, tol: float = 1e-10) -> DecompositionReport:
     keys = [_label_key(label["shape"], label["tag"]) for label in labels]
     for a in range(len(keys)):
         for b in range(a + 1, len(keys)):
-            witness = find_intertwiner(label_matrices[keys[a]],
-                                       label_matrices[keys[b]], tol)
+            witness = find_intertwiner(label_sides[keys[a]],
+                                       label_sides[keys[b]], tol)
             if witness is not None:
                 all_pass = False
 
@@ -489,7 +560,7 @@ def classify(n: int, q, tol: float = 1e-10) -> DecompositionReport:
 
     return DecompositionReport(n=n, q_value=q_value, labels=labels,
                                equivalences=equivalences, checks=checks,
-                               label_matrices=label_matrices,
+                               label_sides=label_sides,
                                restrictions=restrictions)
 
 
@@ -507,16 +578,16 @@ def induction_multiplicities(label: str, n: int, q,
     """
     if report is None:
         report = classify(n, q)
-    if label not in report.label_matrices:
+    if label not in report.label_sides:
         raise ValueError(f"unknown label {label!r}")
-    w = report.label_matrices[label]
+    w = report.label_sides[label]
     label_dim = next(entry["dim"] for entry in report.labels
                      if _label_key(entry["shape"], entry["tag"]) == label)
 
     multiplicities = {}
     total = 0
     for text, r in report.restrictions.items():
-        mult = _hom(w, r.y_matrices).shape[0]
+        mult = _hom(w, r).shape[0]
         multiplicities[text] = mult
         total += mult * r.dim
     induced = 2 * label_dim

@@ -43,8 +43,6 @@ from .scalars import QPoint, Scalar, is_admissible, q_to_text
 from .tableaux import (
     StandardTableau,
     YoungDiagram,
-    apply_transposition,
-    axial_distance,
     enumerate_diagrams,
     enumerate_standard_tableaux,
 )
@@ -290,33 +288,35 @@ def build_representation(shape: YoungDiagram, q, form: str = "f") -> Representat
     n, dim = shape.n, len(basis)
     use_complex = isinstance(qv, complex) or (qv is not None and qv < 0)
     dtype = np.complex128 if use_complex else np.float64
+    cast = complex if use_complex else float
+    # diagonal entry by "i and i+1 share a row", and the block entries by
+    # axial distance, each evaluated once per call
+    diagonal = {same_row: cast(_diagonal_entry(same_row, qv, form))
+                for same_row in (False, True)}
+    blocks: dict[int, tuple] = {}
 
     matrices = []
     for i in range(1, n):
         mat = np.zeros((dim, dim), dtype=dtype)
         for k, t in enumerate(basis):
-            partner = apply_transposition(t, i)
-            if partner is None:
-                row_i = t.position_of(i)[0]
-                same_row = row_i == t.position_of(i + 1)[0]
-                mat[k, k] = complex(_diagonal_entry(same_row, qv, form)) \
-                    if use_complex else float(_diagonal_entry(same_row, qv, form))
-            else:
-                d = axial_distance(t, i, i + 1)
-                if d < 0:
-                    continue  # filled from the anchor side of the orbit
-                b = index[partner.entries]
-                anchor_diag, partner_diag, off = _block_entries(d, qv, form)
-                if use_complex:
-                    anchor_diag, partner_diag, off = (
-                        complex(anchor_diag), complex(partner_diag), complex(off))
-                else:
-                    anchor_diag, partner_diag, off = (
-                        float(anchor_diag), float(partner_diag), float(off))
-                mat[k, k] = anchor_diag
-                mat[b, b] = partner_diag
-                mat[k, b] = off
-                mat[b, k] = off
+            (ri, ci), (rj, cj) = t.position_of(i), t.position_of(i + 1)
+            if ri == rj or ci == cj:
+                mat[k, k] = diagonal[ri == rj]
+                continue
+            d = (ci - ri) - (cj - rj)   # axial distance of i and i+1
+            if d < 0:
+                continue  # filled from the anchor side of the orbit
+            # the partner s_i T: the same entries with i and i+1 swapped
+            rows = [list(row) for row in t.entries]
+            rows[ri - 1][ci - 1], rows[rj - 1][cj - 1] = i + 1, i
+            b = index[tuple(map(tuple, rows))]
+            if d not in blocks:
+                blocks[d] = tuple(cast(v) for v in _block_entries(d, qv, form))
+            anchor_diag, partner_diag, off = blocks[d]
+            mat[k, k] = anchor_diag
+            mat[b, b] = partner_diag
+            mat[k, b] = off
+            mat[b, k] = off
         mat.setflags(write=False)
         matrices.append(mat)
     return Representation(shape, basis, tuple(matrices), qv, form)

@@ -246,6 +246,18 @@ def test_intertwiner_symmetry():
         assert (fwd is None) == (back is None)
 
 
+def test_intertwiner_residual_is_relative_to_the_generators():
+    # scaling both sides keeps the Hom space; the residual grows with the
+    # scale, past an absolute 1e-10, but stays within tol times the norms
+    scale = 1e6
+    r1, r2 = restricted("3,2"), restricted("2,2,1")
+    y1 = [scale * y for y in r1.y_matrices]
+    y2 = [scale * y for y in r2.y_matrices]
+    witness = find_intertwiner(y1, y2)
+    assert witness is not None
+    assert 1e-10 < witness.residual <= 1e-10 * scale * 1.5
+
+
 # -- self-conjugate splitting ----------------------------------------------------------
 
 @pytest.mark.parametrize("shape_text,q", [
@@ -348,6 +360,16 @@ def test_classify_n5(q):
     assert sum(1 for item in data["labels"] if item["tag"] != "whole") == 2
 
 
+@pytest.mark.parametrize("q", [-0.99, -1.01])
+@pytest.mark.parametrize("n", [5, 6])
+def test_classify_near_minus_one(n, q):
+    # generator entries reach about 4e4 here; the intertwiner residuals
+    # (up to 3.5e-9) and, at n = 6, the invariance residuals of the halves
+    # of 3,2,1 (2e-6) are small only relative to them
+    assert classify(n, q).checks == {"sum_dim_sq": math.factorial(n) // 2,
+                                     "pass": True}
+
+
 @pytest.mark.parametrize("q", [Fraction(2), COMPLEX_Q])
 def test_classify_n7(q):
     checks = classify(7, q).checks
@@ -363,7 +385,7 @@ def test_label_images_span_full_rank():
     # images of the normal-form monomials under the label sum are independent
     for n in (3, 4, 5):
         report = classify(n, Fraction(2))
-        mats = list(report.label_matrices.values())
+        mats = [side.y_matrices for side in report.label_sides.values()]
         monomials = enumerate_normal_monomials(n)
         rows = []
         for mono in monomials:
@@ -424,6 +446,23 @@ def test_induction_table_builds_each_shape_once(monkeypatch):
     monkeypatch.setattr(alt_decompose, "build_representation", counting_build)
     assert induction_table(6, Fraction(2))["pass"]
     assert len(calls) == len(enumerate_diagrams(6)) == 11
+
+
+def test_each_hom_side_is_decomposed_once(monkeypatch):
+    calls = []
+    eig = np.linalg.eig
+
+    def counting_eig(matrix):
+        calls.append(matrix.shape)
+        return eig(matrix)
+
+    monkeypatch.setattr(alt_decompose.np.linalg, "eig", counting_eig)
+    assert classify(6, Fraction(2)).checks["pass"]
+    # one generic element per shape and one per half of 3,2,1
+    assert len(calls) == len(enumerate_diagrams(6)) + 2 == 13
+    calls.clear()
+    assert induction_table(6, Fraction(2))["pass"]
+    assert len(calls) <= 13
 
 
 def test_induction_unknown_label():

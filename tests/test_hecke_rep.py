@@ -9,6 +9,8 @@ import pytest
 from qalt import hecke_rep
 from qalt.scalars import QInteger, QPoint, RationalFunction
 from qalt.tableaux import (
+    apply_transposition,
+    axial_distance,
     enumerate_diagrams,
     enumerate_standard_tableaux,
     parse_shape,
@@ -29,6 +31,7 @@ from qalt.hecke_rep import (
 from qalt.word_algebra import enumerate_even_uwords
 
 SAMPLE_Q = (Fraction(2), Fraction(3, 2), Fraction(5, 7), 0.3, 1.7)
+COMPLEX_Q = complex(1, 0.5)
 
 
 def qint(d, q):
@@ -45,6 +48,47 @@ def block_oracle(d, q):
 
 
 # -- block structure -----------------------------------------------------------
+
+def reference_matrices(rep):
+    """rep's generator matrices by the per-entry loop: a partner tableau,
+    an axial distance and a block evaluation for every mixed pair."""
+    qv, form = rep.q_value, rep.form
+    use_complex = isinstance(qv, complex) or (qv is not None and qv < 0)
+    dtype = np.complex128 if use_complex else np.float64
+    cast = complex if use_complex else float
+    index = {t.entries: k for k, t in enumerate(rep.basis)}
+    matrices = []
+    for i in range(1, rep.n):
+        mat = np.zeros((rep.dim, rep.dim), dtype=dtype)
+        for k, t in enumerate(rep.basis):
+            partner = apply_transposition(t, i)
+            if partner is None:
+                same_row = t.position_of(i)[0] == t.position_of(i + 1)[0]
+                mat[k, k] = cast(hecke_rep._diagonal_entry(same_row, qv, form))
+                continue
+            d = axial_distance(t, i, i + 1)
+            if d < 0:
+                continue
+            b = index[partner.entries]
+            anchor, other, off = (cast(v) for v in
+                                  hecke_rep._block_entries(d, qv, form))
+            mat[k, k], mat[b, b], mat[k, b], mat[b, k] = anchor, other, off, off
+        matrices.append(mat)
+    return matrices
+
+
+@pytest.mark.parametrize("form", hecke_rep.FORMS)
+@pytest.mark.parametrize("q", SAMPLE_Q + (COMPLEX_Q, -0.9, 0.5j, Fraction(1)))
+def test_builder_matches_the_per_entry_reference(form, q):
+    for n in range(2, 7):
+        for shape in enumerate_diagrams(n):
+            rep = build_representation(shape, q, form)
+            reference = reference_matrices(rep)
+            assert len(reference) == len(rep.generator_matrices) == n - 1
+            for mat, ref in zip(rep.generator_matrices, reference):
+                assert mat.dtype == ref.dtype
+                assert np.array_equal(mat, ref)
+
 
 def test_one_row_shape_is_trivial():
     rep = build_representation(parse_shape("4"), Fraction(2), "f")
