@@ -2,8 +2,9 @@
 
 The package is organized bottom-up:
 
-- ``scalars``: exact arithmetic over the field Q(q) of rational functions,
-  plus admissibility checks for numeric values of q.
+- ``scalars``: exact values in the field Q(q) of rational functions, built
+  in lowest terms by their producers, plus admissibility checks and
+  parsing for numeric values of q.
 - ``tableaux``: Young diagrams, standard tableaux, classes and axial
   distances, and the transposition action.
 - ``word_algebra``: words in the generators, the normal word basis of the

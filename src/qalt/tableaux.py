@@ -56,10 +56,6 @@ class YoungDiagram:
     def n(self) -> int:
         return sum(self.rows)
 
-    @property
-    def depth(self) -> int:
-        return len(self.rows)
-
     def transpose(self) -> "YoungDiagram":
         cols = tuple(sum(1 for r in self.rows if r >= j)
                      for j in range(1, self.rows[0] + 1))
@@ -246,9 +242,3 @@ def enumerate_standard_tableaux(shape: YoungDiagram) -> list[StandardTableau]:
     tabs = [StandardTableau(f) for f in _fillings(shape.rows)]
     tabs.sort(key=_canonical_key)
     return tabs
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

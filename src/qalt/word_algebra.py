@@ -32,18 +32,22 @@ one letter at a time, using the consequences of the defining relations:
     a_i a_1 = a_1^{-1} a_i  and  a_1 a_i = a_i a_1^{-1}  (i > 2),
     a_i a_j = a_j a_i                                    (|i - j| > 1, i, j > 1).
 
-All structure constants are integer polynomials in u = c^2, so the engine
-works over Z[u] and converts to rational functions in q only at the edge,
-by a closed form that is already in lowest terms.  Both calculi keep their
-coefficients in Z[q, 1/(q+1)], as integer polynomials over a power of
-(q+1), so neither runs a polynomial gcd.
+All structure constants are integer polynomials in u = c^2, so the engine,
+normal-form combinations, their products and their re-reduction all work
+over Z[u].  Both calculi keep their coefficients in Z[q, 1/(q+1)], as
+integer polynomials over a power of (q+1), and compute with integers
+alone: there is no Q(q) arithmetic and no polynomial gcd.  A coefficient
+becomes a canonical RationalFunction only at the edge, in _ring_to_rf,
+which cancels (q+1) factors by synthetic division; for p(u) the closed
+form is already in lowest terms.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .scalars import Polynomial, RationalFunction
@@ -99,9 +103,6 @@ class Permutation:
     @property
     def n(self) -> int:
         return len(self.images)
-
-    def apply(self, k: int) -> int:
-        return self.images[k - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         # composition of maps: (self * other)(k) = self(other(k))
@@ -188,15 +189,7 @@ def enumerate_even_uwords(n: int) -> list[UWord]:
 
 
 # ---------------------------------------------------------------------------
-# the constant c^2 and integer polynomials
-
-def c_squared() -> RationalFunction:
-    """The twist constant c^2 = ((q-1)/(q+1))^2 of the defining relations."""
-    q = RationalFunction.q()
-    return ((q - 1) / (q + 1)) ** 2
-
-
-# Integer polynomials: coefficient tuples, ascending powers, no trailing
+# integer polynomials: coefficient tuples, ascending powers, no trailing
 # zeros; the empty tuple is zero.  The engine's are polynomials in u = c^2,
 # the coefficient ring's below are polynomials in q.
 _UONE = (1,)
@@ -254,9 +247,12 @@ def _q_plus_one_power(e: int) -> tuple:
 
 
 def _ring_to_rf(num: tuple, e: int) -> RationalFunction:
-    """Canonical num/(q+1)^e: divide num by (q+1) while q = -1 is a root."""
+    """Canonical num/(q+1)^e: divide num by (q+1) while q = -1 is a root.
+
+    Every RationalFunction of this module is built here.
+    """
     if not num:
-        return RationalFunction.zero()
+        e = 0
     while e:
         # synthetic division by q + 1, highest coefficient first
         quot = [0] * (len(num) - 1)
@@ -267,28 +263,32 @@ def _ring_to_rf(num: tuple, e: int) -> RationalFunction:
         if num[0] != carry:         # nonzero remainder num(-1)
             break
         num, e = tuple(quot), e - 1
-    return RationalFunction._canonical(Polynomial(num),
-                                       Polynomial(_q_plus_one_power(e)))
+    return RationalFunction(Polynomial(num), Polynomial(_q_plus_one_power(e)))
 
 
 def _u_to_rf(p: tuple) -> RationalFunction:
     """p(u) in Q(q): sum_j a_j (q-1)^{2j} (q+1)^{2(k-j)} over (q+1)^{2k}.
 
     The numerator is a_k 4^k at q = -1 (k the degree of p), never zero, so
-    the fraction is already reduced and no gcd runs.
+    the fraction is already reduced and _ring_to_rf cancels nothing.
     """
     k = len(p) - 1
     while k >= 0 and not p[k]:
         k -= 1
     if k < 0:
-        return RationalFunction.zero()
+        return _ring_to_rf((), 0)
     num, den = (p[k],), _UONE
     for a in reversed(p[:k]):
         den = _u_mul(den, _Q_PLUS_ONE_SQ)
         num = _u_mul(num, _Q_MINUS_ONE_SQ)
         if a:
             num = _u_add(num, tuple(a * x for x in den))
-    return RationalFunction._canonical(Polynomial(num), Polynomial(den))
+    return _ring_to_rf(num, 2 * k)
+
+
+def c_squared() -> RationalFunction:
+    """The twist constant c^2 = ((q-1)/(q+1))^2 of the defining relations."""
+    return _u_to_rf(_U)
 
 
 # ---------------------------------------------------------------------------
@@ -337,56 +337,26 @@ def enumerate_normal_monomials(n: int) -> list[NormalFormMonomial]:
     return [NormalFormMonomial(code) for code in itertools.product(*ranges)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormalFormCombination:
     """Exact linear combination of normal-form monomials.
 
-    terms maps monomial codes to nonzero RationalFunction coefficients.
+    u_terms maps monomial codes to the engine's coefficients, nonzero
+    integer polynomials in u = c^2, so equal combinations have equal
+    fields.  terms holds the same coefficients as canonical
+    RationalFunctions, built on first use.
     """
 
     n: int
-    terms: dict[tuple[int, ...], RationalFunction] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.terms = {code: coeff for code, coeff in self.terms.items()
-                      if not coeff.is_zero}
+    u_terms: dict[tuple[int, ...], tuple]
 
     @staticmethod
     def unit(n: int) -> "NormalFormCombination":
-        return NormalFormCombination(n, {(0,) * (n - 2): RationalFunction.one()})
+        return NormalFormCombination(n, {(0,) * (n - 2): _UONE})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, code: tuple[int, ...]) -> RationalFunction:
-        return self.terms.get(tuple(code), RationalFunction.zero())
-
-    def __add__(self, other: "NormalFormCombination") -> "NormalFormCombination":
-        if self.n != other.n:
-            raise ValueError("mixed n in combination arithmetic")
-        terms = dict(self.terms)
-        for code, coeff in other.terms.items():
-            acc = terms.get(code)
-            total = coeff if acc is None else acc + coeff
-            if total.is_zero:
-                terms.pop(code, None)
-            else:
-                terms[code] = total
-        return NormalFormCombination(self.n, terms)
-
-    def scale(self, factor) -> "NormalFormCombination":
-        factor = factor if isinstance(factor, RationalFunction) \
-            else RationalFunction(factor)
-        return NormalFormCombination(
-            self.n, {c: coeff * factor for c, coeff in self.terms.items()})
-
-    def __sub__(self, other: "NormalFormCombination") -> "NormalFormCombination":
-        return self + other.scale(-1)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, NormalFormCombination)
-                and self.n == other.n and self.terms == other.terms)
+    @cached_property
+    def terms(self) -> dict[tuple[int, ...], RationalFunction]:
+        return {code: _u_to_rf(p) for code, p in self.u_terms.items()}
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], RationalFunction]]:
         return sorted(self.terms.items())
@@ -569,11 +539,6 @@ def _rewrite_letters_u(letters: Sequence[int], n: int) -> dict:
     return _comb_rmul_word(comb, letters)
 
 
-def _u_comb_to_rf(comb: dict, n: int) -> NormalFormCombination:
-    return NormalFormCombination(
-        n, {code: _u_to_rf(p) for code, p in comb.items()})
-
-
 # ---------------------------------------------------------------------------
 # public rewriting interface
 
@@ -608,20 +573,21 @@ def rewrite_y_word(word, n: int) -> NormalFormCombination:
     """Reduce a word in the generators onto the normal-form basis.
 
     The result is exact.  Every coefficient is p(c^2) for an integer
-    polynomial p, an element of Z[q, 1/(q+1)] with denominator
-    (q+1)^(2 deg p), handed out as a canonical RationalFunction.
+    polynomial p, kept as p in u_terms; terms hands it out as the element
+    of Z[q, 1/(q+1)] with denominator (q+1)^(2 deg p), a canonical
+    RationalFunction.
     """
     letters = word.letters if isinstance(word, YWord) else tuple(word)
-    return _u_comb_to_rf(_rewrite_letters_u(letters, n), n)
+    return NormalFormCombination(n, _rewrite_letters_u(letters, n))
 
 
 def rewrite_combination(comb: NormalFormCombination) -> NormalFormCombination:
     """Re-reduce a combination monomial by monomial (idempotence check)."""
-    out = NormalFormCombination(comb.n, {})
-    for code, coeff in comb.terms.items():
-        mono = NormalFormMonomial(code)
-        out = out + rewrite_y_word(mono.letters(), comb.n).scale(coeff)
-    return out
+    out: dict = {}
+    for code, p in comb.u_terms.items():
+        letters = NormalFormMonomial(code).letters()
+        _merge(out, _rewrite_letters_u(letters, comb.n), p)
+    return NormalFormCombination(comb.n, out)
 
 
 def multiply_normal_forms(a: NormalFormCombination,
@@ -629,22 +595,13 @@ def multiply_normal_forms(a: NormalFormCombination,
     """Exact product in A_n(q): rewrite the concatenation of the factors."""
     if a.n != b.n:
         raise ValueError("mixed n in multiplication")
-    n = a.n
-    terms: dict[tuple[int, ...], RationalFunction] = {}
-    for code_b, coeff_b in b.terms.items():
+    terms: dict = {}
+    for code_b, p_b in b.u_terms.items():
         letters = NormalFormMonomial(code_b).letters()
-        for code_a, coeff_a in a.terms.items():
+        for code_a, p_a in a.u_terms.items():
             image = _comb_rmul_word({code_a: _UONE}, letters)
-            factor = coeff_a * coeff_b
-            for code, p in image.items():
-                inc = _u_to_rf(p) * factor
-                cur = terms.get(code)
-                total = inc if cur is None else cur + inc
-                if total.is_zero:
-                    terms.pop(code, None)
-                else:
-                    terms[code] = total
-    return NormalFormCombination(n, terms)
+            _merge(terms, image, _u_mul(p_a, p_b))
+    return NormalFormCombination(a.n, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +777,7 @@ def _f_word(n: int, letters: Sequence[int]) -> HeckeElement:
 def hecke_f_relation_check_exact(n: int) -> dict:
     """Exact verification of the f-generator relations inside H_n(q).
 
-    Expands every f-word in the T_w basis over Q(q) and checks:
+    Expands every f-word in the T_w basis over Z[q, 1/(q+1)] and checks:
     f_i^2 = 1; the corrected braid relation
     f_i f_{i+1} f_i - f_{i+1} f_i f_{i+1} = c^2 (f_{i+1} - f_i); and
     commutation of distant pairs.
@@ -849,9 +806,3 @@ def hecke_f_relation_check_exact(n: int) -> dict:
 
     return {"n": n, "relations": checks,
             "pass": all(entry["pass"] for entry in checks)}
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

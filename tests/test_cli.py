@@ -160,6 +160,19 @@ def test_invalid_inputs_exit_one(capsys):
         assert err.strip(), argv
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--n", "4", "--q", "nani"),
+    ("classify", "--n", "4", "--q", "1e400"),
+    ("dim", "--n", "4", "--q", "1e400"),
+    ("rewrite", "--n", "4", "--word", "y1 y1 y1", "--q", "1e400"),
+    ("dim", "--n", "4", "--q", "1/0"),
+])
+def test_non_finite_q_exits_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: bad q {argv[-1]!r}: ")
+
+
 def test_cap_override(capsys):
     code, out, _ = run(capsys, "tableaux", "--n", "9", "--max-n", "9")
     assert code == 0

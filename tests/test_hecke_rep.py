@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from field_oracle import Q
 
 from qalt import hecke_rep
-from qalt.scalars import QInteger, QPoint, RationalFunction
+from qalt.scalars import QInteger, QPoint
 from qalt.tableaux import (
     apply_transposition,
     axial_distance,
@@ -114,11 +115,11 @@ def test_two_one_block_matches_oracle(q):
 
 def test_block_entry_identity_exact():
     # (1+q^d)^2 + 4 q [d-1][d+1] = ((1+q)[d])^2, the exact form of A^2+B^2=1
-    q = RationalFunction.q()
+    q = Q.q()
     for d in range(2, 7):
-        lhs = (1 + q ** d) ** 2 \
-            + 4 * q * QInteger(d - 1).as_function * QInteger(d + 1).as_function
-        rhs = ((1 + q) * QInteger(d).as_function) ** 2
+        lhs = (1 + q ** d) ** 2 + 4 * q * Q.of(QInteger(d - 1).as_function) \
+            * Q.of(QInteger(d + 1).as_function)
+        rhs = ((1 + q) * Q.of(QInteger(d).as_function)) ** 2
         assert lhs == rhs
 
 

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from field_oracle import Q, is_canonical_ring
 
 from qalt import word_algebra
-from qalt.scalars import RationalFunction
+from qalt.scalars import Polynomial, RationalFunction
 from qalt.word_algebra import (
     HeckeElement,
     NormalFormCombination,
@@ -36,6 +37,11 @@ from qalt.word_algebra import (
     uword_to_permutation,
     verify_presentation_relations,
 )
+
+
+def rf(num, den=(1,)):
+    # a RationalFunction from coefficient tuples, ascending powers
+    return RationalFunction(Polynomial(num), Polynomial(den))
 
 
 # -- permutations and descent words --------------------------------------------
@@ -110,7 +116,9 @@ def test_monomials_are_rewrite_fixed_points():
     for n in (3, 4, 5):
         for mono in enumerate_normal_monomials(n):
             comb = rewrite_y_word(mono.letters(), n)
-            assert comb.sorted_terms() == [(mono.code, RationalFunction.one())]
+            assert comb.u_terms == {mono.code: (1,)}
+            assert [(code, str(c)) for code, c in comb.sorted_terms()] == \
+                [(mono.code, "1")]
 
 
 # -- rewriting ---------------------------------------------------------------------
@@ -118,9 +126,11 @@ def test_monomials_are_rewrite_fixed_points():
 def test_cubic_relation_expansion():
     # a_1^3 = 1 + c^2 a_1 - c^2 a_1^2
     comb = rewrite_y_word([1, 1, 1], 4)
-    c2 = c_squared()
-    assert comb.terms == {(0, 0): RationalFunction.one(),
-                          (1, 0): c2, (2, 0): -c2}
+    assert comb.u_terms == {(0, 0): (1,), (1, 0): (0, 1), (2, 0): (0, -1)}
+    c2 = Q.of(c_squared())
+    assert {code: Q.of(c) for code, c in comb.terms.items()} == \
+        {(0, 0): Q.of(1), (1, 0): c2, (2, 0): -c2}
+    assert all(is_canonical_ring(c) for c in comb.terms.values())
 
 
 def test_involution_relation():
@@ -170,12 +180,11 @@ def combination_as_hecke(comb):
 
 
 def test_hecke_quadratic_and_braid():
-    q = RationalFunction.q()
     for n in (3, 4):
         for i in range(1, n):
             gi = HeckeElement.unit(n).rmul_g(i)
             lhs = gi.rmul_g(i)
-            rhs = gi.scale(q - 1) + HeckeElement.unit(n).scale(q)
+            rhs = gi.scale(rf((-1, 1))) + HeckeElement.unit(n).scale(rf((0, 1)))
             assert (lhs - rhs).is_zero
         for i in range(1, n - 1):
             a = HeckeElement.unit(n).rmul_g(i).rmul_g(i + 1).rmul_g(i)
@@ -192,39 +201,42 @@ def test_hecke_f_relations_exact():
 # -- the coefficient ring Z[q, 1/(q+1)] -----------------------------------------
 
 def test_u_to_rf_matches_powers_of_c_squared():
-    # oracle: sum_j a_j (c^2)^j in gcd-reduced RationalFunction arithmetic
+    # oracle: sum_j a_j (c^2)^j in unreduced Q(q) arithmetic; the result
+    # must equal it and have the canonical form of a ring value
     rng = np.random.default_rng(5)
-    c2 = c_squared()
+    q = Q.q()
+    c2 = ((q - 1) / (q + 1)) ** 2
     polys = [(), (0,), (0, 0, 0), (3,), (0, 0, 1), (1, -1, 0, 0)]
     for _ in range(120):
         p = rng.integers(-4, 5, int(rng.integers(1, 9)))
         p[:int(rng.integers(0, 3))] = 0         # zero low coefficients
         polys.append(tuple(int(a) for a in p))  # and often a zero top one
     for p in polys:
-        oracle = RationalFunction.zero()
+        oracle = Q()
         for j, a in enumerate(p):
             oracle = oracle + c2 ** j * a
         got = word_algebra._u_to_rf(p)
-        assert (got.num, got.den) == (oracle.num, oracle.den), p
+        assert Q.of(got) == oracle, p
+        assert is_canonical_ring(got), p
 
 
 class RationalHecke:
-    """T-basis element with RationalFunction coefficients, the reference
-    for HeckeElement's integer arithmetic."""
+    """T-basis element with Q(q) oracle coefficients, the reference for
+    HeckeElement's integer arithmetic."""
 
     def __init__(self, n, terms=None):
         self.n = n
-        self.terms = {w: c for w, c in (terms or {}).items() if not c.is_zero}
+        self.terms = {w: c for w, c in (terms or {}).items() if c != 0}
 
     @staticmethod
     def unit(n):
         identity = tuple(range(1, n + 1))
-        return RationalHecke(n, {identity: RationalFunction.one()})
+        return RationalHecke(n, {identity: Q.of(1)})
 
     def _plus(self, other, sign):
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            terms[w] = terms.get(w, RationalFunction.zero()) + c * sign
+            terms[w] = terms.get(w, Q()) + c * sign
         return RationalHecke(self.n, terms)
 
     def __add__(self, other):
@@ -234,11 +246,11 @@ class RationalHecke:
         return self._plus(other, -1)
 
     def scale(self, factor):
-        return RationalHecke(self.n,
-                             {w: c * factor for w, c in self.terms.items()})
+        return RationalHecke(self.n, {w: c * Q.of(factor)
+                                      for w, c in self.terms.items()})
 
     def rmul_g(self, i):
-        q = RationalFunction.q()
+        q = Q.q()
         out = RationalHecke(self.n)
         for w, c in self.terms.items():
             ws = list(w)
@@ -251,15 +263,14 @@ class RationalHecke:
         return out
 
     def rmul_f(self, i):
-        q = RationalFunction.q()
-        return (self.rmul_g(i).scale(RationalFunction(2)) - self.scale(q - 1)) \
-            .scale(1 / (q + 1))
+        q = Q.q()
+        return (self.rmul_g(i).scale(2) - self.scale(q - 1)).scale(1 / (q + 1))
 
 
 def _scale_factors():
-    q = RationalFunction.q()
-    return (c_squared(), q - 1, (q ** 2 + 3) / (q + 1) ** 3,
-            RationalFunction(Fraction(-3, 2)), RationalFunction.zero())
+    # c^2, q - 1, (q^2 + 3)/(q + 1)^3, -3/2 and 0
+    return (c_squared(), rf((-1, 1)), rf((3, 0, 1), (1, 3, 3, 1)),
+            rf((Fraction(-3, 2),)), rf(()))
 
 
 @st.composite
@@ -302,19 +313,20 @@ def test_hecke_ring_arithmetic_matches_rational_functions(case):
     assert set(got.terms) == set(ref.terms)
     assert got.is_zero == (not ref.terms)
     for w in itertools.permutations(range(1, n + 1)):
-        expected = ref.terms.get(w, RationalFunction.zero())
         coeff = got.coefficient(w)
-        assert (coeff.num, coeff.den) == (expected.num, expected.den)
+        assert Q.of(coeff) == ref.terms.get(w, Q())
+        assert is_canonical_ring(coeff)
 
 
 def test_hecke_scale_needs_a_power_of_q_plus_one():
-    q = RationalFunction.q()
     unit = HeckeElement.unit(3)
-    for factor in (1 / q, 1 / (q + 2), 1 / (q ** 2 + 1), (q + 1) / (q - 1)):
+    # 1/q, 1/(q + 2), 1/(q^2 + 1), (q + 1)/(q - 1)
+    for factor in (rf((1,), (0, 1)), rf((1,), (2, 1)), rf((1,), (1, 0, 1)),
+                   rf((1, 1), (-1, 1))):
         with pytest.raises(ValueError, match="not a power of"):
             unit.scale(factor)
-    scaled = unit.scale(Fraction(1, 3) / (q + 1) ** 2)
-    assert scaled.coefficient((1, 2, 3)) == Fraction(1, 3) / (q + 1) ** 2
+    third = rf((Fraction(1, 3),), (1, 2, 1))
+    assert unit.scale(third).coefficient((1, 2, 3)) == third
 
 
 @st.composite
@@ -388,6 +400,13 @@ def test_multiply_matches_concatenation():
                 prod = multiply_normal_forms(left, right)
                 direct = rewrite_y_word(a.letters() + b.letters(), n)
                 assert prod == direct
+    # factors with several terms and coefficients of positive degree in u
+    words = ([1, 1, 1], [1, 2, 1, 2, 1], [2, 1, 1, 2], [3, 1, 2, 1, 1])
+    for x in words:
+        for y in words:
+            prod = multiply_normal_forms(rewrite_y_word(x, 5),
+                                         rewrite_y_word(y, 5))
+            assert prod == rewrite_y_word(x + y, 5)
 
 
 @st.composite
