@@ -400,6 +400,10 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OverflowError as exc:
+        # a finite q whose powers or float value leave the double range
+        print(f"error: out of floating-point range: {exc}", file=sys.stderr)
+        return 1
     _emit(payload, args.output)
     if passed is False:
         print("verification failed", file=sys.stderr)

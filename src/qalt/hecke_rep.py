@@ -450,9 +450,7 @@ def dimension_certificate(n: int, q=Fraction(2)) -> dict:
         raise ValueError("dimension_certificate needs n >= 2")
     blocks = [(build_representation(shape, q, "f"),
                1.0 if shape.is_self_conjugate else math.sqrt(2.0))
-              for shape in enumerate_diagrams(n)
-              if shape.is_self_conjugate
-              or shape.rows > shape.transpose().rows]
+              for shape in enumerate_diagrams(n) if shape.is_transpose_anchor]
     rows = math.factorial(n) // 2
     cols = sum(rep.dim ** 2 for rep, _ in blocks)
     dtype = np.result_type(*(rep.generator_matrices[0].dtype

@@ -65,6 +65,13 @@ class YoungDiagram:
     def is_self_conjugate(self) -> bool:
         return self.transpose() == self
 
+    @property
+    def is_transpose_anchor(self) -> bool:
+        """True for the shape of each transpose pair with the larger rows,
+        the first in enumerate_diagrams order, and for a self-conjugate
+        shape: the one shape that stands for its pair."""
+        return self.rows >= self.transpose().rows
+
     def corners(self) -> list[tuple[int, int]]:
         """Removable boxes (i, j), 1-based."""
         out = []

@@ -373,13 +373,7 @@ _RMUL_CACHE: dict[tuple[tuple[int, ...], int], tuple] = {}
 def _comb_rmul(comb: dict, j: int) -> dict:
     out: dict = {}
     for code, p in comb.items():
-        for ncode, np_ in _rmul(code, j):
-            cur = out.get(ncode)
-            total = _u_mul(np_, p) if cur is None else _u_add(cur, _u_mul(np_, p))
-            if total:
-                out[ncode] = total
-            else:
-                out.pop(ncode, None)
+        _merge(out, _rmul(code, j), p)
     return out
 
 
@@ -393,21 +387,8 @@ def _comb_rmul_inv1(comb: dict) -> dict:
     # right multiplication by a_1^{-1} = a_1^2 + c^2 a_1 - c^2
     once = _comb_rmul(comb, 1)
     out = _comb_rmul(once, 1)
-    for code, p in once.items():
-        cur = out.get(code)
-        total = _u_shift(p) if cur is None else _u_add(cur, _u_shift(p))
-        if total:
-            out[code] = total
-        else:
-            out.pop(code, None)
-    for code, p in comb.items():
-        cur = out.get(code)
-        dec = _u_neg(_u_shift(p))
-        total = dec if cur is None else _u_add(cur, dec)
-        if total:
-            out[code] = total
-        else:
-            out.pop(code, None)
+    _merge(out, once, _U)
+    _merge(out, comb, _u_neg(_U))
     return out
 
 
@@ -514,18 +495,10 @@ def _rmul_compute(code: tuple[int, ...], j: int) -> dict:
 
 
 def _merge(dst: dict, items, scale: tuple) -> None:
+    """Add scale times each (code, u-poly) of items into dst."""
     pairs = items.items() if isinstance(items, dict) else items
     for code, p in pairs:
-        inc = _u_mul(p, scale)
-        if not inc:
-            continue
-        cur = dst.get(code)
-        total = inc if cur is None else _u_add(cur, inc)
-        if total:
-            dst[code] = total
-        else:
-            dst.pop(code, None)
-    return None
+        _add_into(dst, code, _u_mul(p, scale))
 
 
 def _rewrite_letters_u(letters: Sequence[int], n: int) -> dict:
@@ -760,7 +733,9 @@ def _swap(w: tuple[int, ...], i: int) -> tuple[int, ...]:
 
 
 def _add_into(terms: dict, w, c: tuple) -> None:
-    total = _u_add(terms[w], c) if w in terms else c
+    # terms[w] += c, dropping a key whose sum is zero
+    cur = terms.get(w)
+    total = c if cur is None else _u_add(cur, c)
     if total:
         terms[w] = total
     else:

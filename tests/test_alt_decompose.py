@@ -266,6 +266,14 @@ def test_intertwiner_residual_is_relative_to_the_generators():
     ("3,1,1", Fraction(2)),
     ("2,2", Fraction(3, 2)),
     ("3,1,1", 1.7),
+    # real and complex q took different split branches once
+    ("3,2,1", Fraction(2)),
+    ("3,2,1", complex(0, 0.5)),
+    ("3,2,1", COMPLEX_Q),
+    ("3,2,1", -0.9),
+    ("3,2,1", Fraction(1)),
+    ("4,1,1,1", Fraction(2)),
+    ("4,1,1,1", COMPLEX_Q),
 ])
 def test_split_halves_evenly(shape_text, q):
     r = restricted(shape_text, q)
@@ -275,6 +283,11 @@ def test_split_halves_evenly(shape_text, q):
     assert report["method"] == "commutant spectral projection"
     assert report["invariance_residual"] < 1e-10
     assert report["split_dims"] == [r.dim // 2, r.dim // 2]
+    assert report["tag_overlaps"]["plus"] >= report["tag_overlaps"]["minus"]
+    assert set(report) == {
+        "shape", "dim", "method", "commutant_dim", "split_dims",
+        "eigenvalue_gap", "invariance_residual", "tag_overlaps",
+        "literal_basis_diagnostic", "pass"}
 
 
 def test_split_pieces_inequivalent():
@@ -458,11 +471,12 @@ def test_each_hom_side_is_decomposed_once(monkeypatch):
 
     monkeypatch.setattr(alt_decompose.np.linalg, "eig", counting_eig)
     assert classify(6, Fraction(2)).checks["pass"]
-    # one generic element per shape and one per half of 3,2,1
-    assert len(calls) == len(enumerate_diagrams(6)) + 2 == 13
+    # one generic element per shape and one per half of 3,2,1, and the
+    # non-scalar commutant element that splits 3,2,1
+    assert len(calls) == len(enumerate_diagrams(6)) + 2 + 1 == 14
     calls.clear()
     assert induction_table(6, Fraction(2))["pass"]
-    assert len(calls) <= 13
+    assert len(calls) <= 14
 
 
 def test_induction_unknown_label():

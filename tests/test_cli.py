@@ -173,6 +173,19 @@ def test_non_finite_q_exits_one(capsys, argv):
     assert err.startswith(f"error: bad q {argv[-1]!r}: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "--n", "4", "--q", "1e200"),
+    ("verify", "--n", "4", "--q", "1e200"),
+    ("dim", "--n", "4", "--q", "1" + "0" * 400),
+])
+def test_float_overflow_exits_one(capsys, argv):
+    # q ** d overflows in the seminormal entries; a 401-digit exact q
+    # overflows when it is converted to a float
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
 def test_cap_override(capsys):
     code, out, _ = run(capsys, "tableaux", "--n", "9", "--max-n", "9")
     assert code == 0

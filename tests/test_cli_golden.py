@@ -13,7 +13,12 @@ requests are:
   these exit 3 (indeterminate rank), and the message is part of stderr;
 - `classify` and `induce` (the whole table) at n = 3..6, at each sample
   q of the acceptance suite and at 1+0.5i, and `induce --n 6 --q 2
-  --label` for a whole label (4,2) and a split one (3,2,1:plus).
+  --label` for a whole label (4,2) and a split one (3,2,1:plus);
+- `symmetry` for every shape of n = 3..6, at each sample q of the
+  acceptance suite and at 1+0.5i;
+- `classify_offsample`: `classify` and `induce` at n = 3..6 for q in
+  {-0.9, -0.99, -1.01, 0.5i, 1}, where real and complex input once took
+  different branches of the split and of the Hom basis.
 
 The rewrite, verify_seed and dim digests were recorded at commit
 da32be3, where every exact coefficient was built by gcd-reduced
@@ -25,6 +30,9 @@ recorded at commit 78f5474, where every Hom solve eigendecomposed both
 of its sides afresh and the seminormal matrices were built entry by
 entry from partner tableaux; reusing one spectral record per side keeps
 every floating-point operation, so those bytes must not move either.
+The symmetry and classify_offsample digests were recorded at commit
+cae87bd, before the split of a self-conjugate restriction took one path
+for real and complex input.
 
 To record groups again, run from the root of the repository, naming
 the groups:
@@ -47,6 +55,7 @@ import numpy as np
 import pytest
 
 from qalt.cli import main
+from qalt.tableaux import enumerate_diagrams
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -55,6 +64,7 @@ COMPLEX_Q = "1+0.5i"
 DIM_Q = ("2", "3/2", "0.3", "1+0.5i", "-0.9", "1e-5")
 VERIFY_Q = ("2", "3/2", "0.3", "1+0.5i")
 INDUCE_LABELS = ("4,2", "3,2,1:plus")
+OFFSAMPLE_Q = ("-0.9", "-0.99", "-1.01", "0.5i", "1")
 
 
 def requests() -> dict:
@@ -78,8 +88,15 @@ def requests() -> dict:
               for n in range(3, 7) for q in SAMPLE_Q + (COMPLEX_Q,)]
     induce += [["induce", "--n", "6", "--q", "2", "--label", label]
                for label in INDUCE_LABELS]
+    symmetry = [["symmetry", "--shape", shape.text(), "--q", q]
+                for n in range(3, 7) for shape in enumerate_diagrams(n)
+                for q in SAMPLE_Q + (COMPLEX_Q,)]
+    offsample = [[command, "--n", str(n), "--q", q]
+                 for command in ("classify", "induce")
+                 for n in range(3, 7) for q in OFFSAMPLE_Q]
     return {"rewrite": rewrite, "verify_seed": verify, "dim": dim,
-            "classify": classify, "induce": induce}
+            "classify": classify, "induce": induce, "symmetry": symmetry,
+            "classify_offsample": offsample}
 
 
 def record(argv: list) -> dict:

@@ -100,6 +100,16 @@ def test_self_conjugate_detection():
     assert not parse_shape("3,1").is_self_conjugate
 
 
+def test_transpose_anchor_is_first_of_its_pair_in_enumeration_order():
+    for n in range(1, 13):
+        first = set()
+        for shape in enumerate_diagrams(n):
+            if transpose(shape) not in first:
+                first.add(shape)
+        assert {shape for shape in enumerate_diagrams(n)
+                if shape.is_transpose_anchor} == first
+
+
 def test_parse_shape_round_trip():
     for text in ("3,1", "2,2", "1,1,1,1", "7"):
         assert parse_shape(text).text() == text
