@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -189,9 +189,13 @@ def _norm_bounds(m: np.ndarray) -> np.ndarray:
     return np.sqrt(absm.sum(axis=1).max(axis=1) * absm.sum(axis=2).max(axis=1))
 
 
+@cache
 def _generic_coefficients(count: int) -> np.ndarray:
-    """The fixed coefficients r_i of the generic element Z = sum r_i Y_i."""
-    return np.random.default_rng(_GENERIC_SEED).standard_normal(count)
+    """The fixed coefficients r_i of the generic element Z = sum r_i Y_i,
+    drawn once per generator count and returned read-only."""
+    coefficients = np.random.default_rng(_GENERIC_SEED).standard_normal(count)
+    coefficients.setflags(write=False)
+    return coefficients
 
 
 def _residual_limit(tol: float, *sides: RestrictedRep) -> float:

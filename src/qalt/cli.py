@@ -267,17 +267,19 @@ def _seeded_word_checks(n, q, tol, seed, samples=20, length=10):
     worst = 0.0
     for _ in range(samples):
         word = [int(rng.integers(1, n - 1)) for _ in range(length)]
-        comb = rewrite_y_word(word, n)
+        # each monomial's letters and coefficient value, once per word
+        terms = [(NormalFormMonomial(code).letters(), coeff.evaluate(qv))
+                 for code, coeff in rewrite_y_word(word, n).terms.items()]
         for r in restrictions:
             direct = np.eye(r.dim, dtype=r.y_matrices[0].dtype)
             for letter in word:
                 direct = direct @ r.y_matrices[letter - 1]
             image = np.zeros_like(direct)
-            for code, coeff in comb.terms.items():
+            for letters, value in terms:
                 m = np.eye(r.dim, dtype=direct.dtype)
-                for letter in NormalFormMonomial(code).letters():
+                for letter in letters:
                     m = m @ r.y_matrices[letter - 1]
-                image = image + coeff.evaluate(qv) * m
+                image = image + value * m
             worst = max(worst, sup_norm(direct - image))
     return {
         "seed": seed,

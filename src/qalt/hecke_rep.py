@@ -106,23 +106,28 @@ def _guarded_rank(svals: np.ndarray, scale: float | None = None) -> int:
     return rank
 
 
-# Block size of the Cholesky full-rank test and its norm.
-_CHOLESKY_BLOCK = 256
+# Block size of the Cholesky full-rank test and its norm.  On the n = 7
+# Gram matrix (one BLAS thread) 128 rows took the test 0.24-0.28 s against
+# 0.31-0.34 s with 256, inverse panels on both.
+_CHOLESKY_BLOCK = 128
 
 
 def numeric_rank(matrix: np.ndarray) -> int:
     """Rank by singular values, refusing to guess near the threshold.
 
     A clearly full rank is read from the Gram matrix G of the short side
-    (p x p, the long side having k entries) without its spectrum: forming
-    G moves its eigenvalues by at most about (p + k) p eps lambda_max, and
-    when that bound is at most 1e-2 GAP_GUARD RANK_THRESHOLD, p is
-    returned if G - 2 GAP_GUARD RANK_THRESHOLD ||G||_1 I has a Cholesky
-    factor.  ||G||_1 >= lambda_max, and the factor 2 covers the Cholesky
-    backward error of about p^2 eps ||G||, so success means lambda_min >=
-    GAP_GUARD RANK_THRESHOLD lambda_max: sigma_min / sigma_max is about
-    1e-3 or more, and the SVD would return p without reaching the gap
-    check.  Every other matrix goes to the SVD and _guarded_rank.
+    (p x p, the long side having k entries) without its spectrum.  Write
+    g = GAP_GUARD RANK_THRESHOLD.  Forming G moves its eigenvalues by at
+    most about (p + k) p eps lambda_max, and when that bound is at most
+    1e-2 g, p is returned if G - 2 g ||G||_1 I passes _has_cholesky_factor
+    with a panel slack of 1e-2 g ||G||_1.  Success gives a factor L with
+    L L^H = G - 2 g ||G||_1 I + E, where E holds the Cholesky rounding,
+    about p^2 eps ||G||, and the measured panel residuals, at most the
+    slack in the 2-norm.  L L^H is positive semidefinite and ||G||_1 >=
+    lambda_max, so lambda_min >= (2 - 2e-2) g ||G||_1 - p^2 eps ||G||
+    >= g lambda_max: sigma_min / sigma_max is about 1e-3 or more, and the
+    SVD would return p without reaching the gap check.  Every other matrix
+    goes to the SVD and _guarded_rank.
     """
     if matrix.size == 0:
         return 0
@@ -135,29 +140,48 @@ def numeric_rank(matrix: np.ndarray) -> int:
         norm1 = max(np.abs(gram[:, k:k + _CHOLESKY_BLOCK]).sum(axis=0).max()
                     for k in range(0, short, _CHOLESKY_BLOCK))
         gram.flat[::short + 1] -= 2 * GAP_GUARD * RANK_THRESHOLD * norm1
-        if _has_cholesky_factor(gram):
+        if _has_cholesky_factor(
+                gram, slack=1e-2 * GAP_GUARD * RANK_THRESHOLD * norm1):
             return short
         del gram        # freed before the SVD copies the matrix
     return _guarded_rank(np.linalg.svd(matrix, compute_uv=False))
 
 
-def _has_cholesky_factor(gram: np.ndarray) -> bool:
+def _has_cholesky_factor(gram: np.ndarray, slack: float = 0.0) -> bool:
     """Whether the Hermitian matrix gram has a Cholesky factor.
 
     Right-looking block Cholesky that overwrites the upper triangle of
     gram: np.linalg.cholesky runs on the diagonal blocks only, so the
     temporaries are a few block rows instead of the two full copies that
-    np.linalg.cholesky of the whole matrix would hold beside it.
+    np.linalg.cholesky of the whole matrix would hold beside it.  The
+    update's row chunks are the diagonal blocks, so each block is whole,
+    lower triangle included, when np.linalg.cholesky reads it.
+
+    A panel L21^H = L11^-1 A12 is formed with the explicit inverse of the
+    diagonal factor, two gemms instead of an LU solve.  Its residual R =
+    L11 L21^H - A12 is a backward error in the off-diagonal blocks of
+    norm at most ||R||_F; the residuals are summed, and once the sum
+    would exceed slack the panel is taken from np.linalg.solve instead.
+    The factor found is then exact for gram plus the Cholesky rounding
+    plus a Hermitian perturbation of 2-norm at most slack.
     """
     p = gram.shape[0]
+    spent = 0.0
     for k in range(0, p, _CHOLESKY_BLOCK):
         e = min(k + _CHOLESKY_BLOCK, p)
         try:
             factor = np.linalg.cholesky(gram[k:e, k:e])
         except np.linalg.LinAlgError:
             return False
-        # L21^H = L11^{-1} A12; the trailing block loses L21 L21^H
-        panel = np.linalg.solve(factor, gram[k:e, e:])
+        a12 = gram[k:e, e:]
+        panel = np.linalg.inv(factor) @ a12
+        # a residual that is NaN or over the budget falls back to the solve
+        residual = float(np.linalg.norm(factor @ panel - a12))
+        if spent + residual <= slack:
+            spent += residual
+        else:
+            panel = np.linalg.solve(factor, a12)
+        # the trailing block loses L21 L21^H
         for r in range(e, p, _CHOLESKY_BLOCK):
             c = r - e
             gram[r:r + _CHOLESKY_BLOCK, r:] -= \
@@ -312,6 +336,11 @@ def build_representation(shape: YoungDiagram, q, form: str = "f") -> Representat
             b = index[tuple(map(tuple, rows))]
             if d not in blocks:
                 blocks[d] = tuple(cast(v) for v in _block_entries(d, qv, form))
+                # B overflows at large q before q^d does
+                if not all(map(cmath.isfinite, blocks[d])):
+                    raise OverflowError(
+                        f"a seminormal entry is not finite at "
+                        f"q = {q_to_text(qv)}, n = {n}")
             anchor_diag, partner_diag, off = blocks[d]
             mat[k, k] = anchor_diag
             mat[b, b] = partner_diag
@@ -420,24 +449,21 @@ def _physical_memory() -> int | None:
         return None
 
 
-def dimension_certificate(n: int, q=Fraction(2)) -> dict:
-    """Rank certificate: even words span a space of dimension n!/2.
+def _word_matrix(n: int, q) -> np.ndarray:
+    """The certificate's matrix: one row per even descent-vector word.
 
-    Walks all descent-vector words of even length, multiplies out their
-    f-form images, and computes the numeric rank of the (n!/2)-row matrix
-    of their entries.  Combined with the exact even-word count this pins
-    the dimension of the even subalgebra from both sides.
-
-    The columns are those of the direct sum of all irreducibles, reduced
-    by transpose pairs.  On the transposed shape, rho'(f_i) = -E P rho(f_i)
-    P^T E with P the tableau transpose and E = diag((-1)^l(T)), so an even
-    word's image there is a signed permutation of its image on the shape.
-    One shape per pair (the anchor of classify, with the larger rows)
-    therefore stands for both with weight sqrt(2), and each self-conjugate
-    shape keeps weight 1: the matrix M has the same M M^H as the full
-    direct sum, hence the same singular values.  numeric_rank reads a
-    clearly full rank from a Cholesky test of the Gram matrix and takes
-    the SVD otherwise.
+    Each row holds the word's f-form images on the anchor of every
+    transpose pair, weighted sqrt(2), and on every self-conjugate shape,
+    weighted 1, in the order of enumerate_diagrams.  The words are walked
+    one stage at a time: at stage s every node w of the level has the s
+    children w, w f_{s-1}, w f_{s-1} f_{s-2}, ..., made by one batched
+    matmul of the whole level per factor, and the level lists its nodes
+    in depth-first order.  The last two stages take one child index of
+    stage n-1 at a time, so the transient is a few levels of (n-2)!
+    matrices, and each even leaf goes straight into its row: the count
+    of even leaves before it in depth-first order, which is the order of
+    enumerate_even_uwords.  Every image is the product evaluate_word
+    forms, bit for bit.
 
     Raises ValueError before allocating when the word matrix and the
     rank solve's peak would exceed physical memory.  The peak is bounded
@@ -469,25 +495,59 @@ def dimension_certificate(n: int, q=Fraction(2)) -> dict:
     for rep, weight in blocks:
         dim = rep.dim
         mats = rep.generator_matrices
-        row_counter = 0
-
-        def walk(stage: int, mat: np.ndarray, parity: int) -> None:
-            nonlocal row_counter
-            if stage > n:
-                if parity == 0:
-                    big[row_counter, col:col + dim * dim] = weight * mat.ravel()
-                    row_counter += 1
-                return
-            walk(stage + 1, mat, parity)
-            cur = mat
+        level = np.eye(dim, dtype=dtype)[None]
+        parity = np.zeros(1, dtype=np.intp)
+        for stage in range(2, n - 1):
+            children = np.empty((len(level), stage, dim, dim), dtype=dtype)
+            children[:, 0] = level
             for d in range(1, stage):
-                cur = cur @ mats[stage - d - 1]
-                walk(stage + 1, cur, (parity + d) % 2)
-
-        walk(2, np.eye(dim, dtype=dtype), 0)
-        assert row_counter == rows
+                np.matmul(children[:, d - 1], mats[stage - d - 1],
+                          out=children[:, d])
+            level = children.reshape(-1, dim, dim)
+            parity = ((parity[:, None] + np.arange(stage)) % 2).ravel()
+        # stages n-1 and n, one child index c of stage n-1 at a time
+        even = (parity[:, None, None] + np.arange(n - 1)[:, None]
+                + np.arange(n)) % 2 == 0
+        assert even.sum() == rows
+        row = np.cumsum(even.ravel()).reshape(even.shape) - 1
+        for c in range(n - 1):
+            if c:
+                level = level @ mats[n - c - 2]
+            leaf = level
+            for d in range(n):
+                if d:
+                    leaf = leaf @ mats[n - d - 1]
+                keep = even[:, c, d]
+                big[row[keep, c, d], col:col + dim * dim] = \
+                    weight * leaf[keep].reshape(-1, dim * dim)
         col += dim * dim
+    return big
 
+
+def dimension_certificate(n: int, q=Fraction(2)) -> dict:
+    """Rank certificate: even words span a space of dimension n!/2.
+
+    Multiplies out the f-form images of all descent-vector words of even
+    length (_word_matrix) and computes the numeric rank of the
+    (n!/2)-row matrix of their entries.  Combined with the exact
+    even-word count this pins the dimension of the even subalgebra from
+    both sides.
+
+    The columns are those of the direct sum of all irreducibles, reduced
+    by transpose pairs.  On the transposed shape, rho'(f_i) = -E P rho(f_i)
+    P^T E with P the tableau transpose and E = diag((-1)^l(T)), so an even
+    word's image there is a signed permutation of its image on the shape.
+    One shape per pair (the anchor of classify, with the larger rows)
+    therefore stands for both with weight sqrt(2), and each self-conjugate
+    shape keeps weight 1: the matrix M has the same M M^H as the full
+    direct sum, hence the same singular values.  numeric_rank reads a
+    clearly full rank from a block Cholesky test of the shifted Gram
+    matrix, with its panels' residuals charged to the shift, and takes
+    the SVD otherwise.  Raises ValueError up front when memory would not
+    suffice (see _word_matrix).
+    """
+    big = _word_matrix(n, q)
+    rows = len(big)
     rank = numeric_rank(big)
     return {"even_words": rows, "rank": rank, "expected": rows,
             "pass": rank == rows}

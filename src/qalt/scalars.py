@@ -144,12 +144,19 @@ class RationalFunction:
     def evaluate(self, value):
         """Substitute a value for q.  Exact on Fraction input.
 
-        Raises ZeroDivisionError when the value is a pole.
+        Raises ZeroDivisionError when the value is a pole, and
+        OverflowError when a float or complex result is not finite: the
+        powers of a large q overflow separately in the numerator and the
+        denominator, and inf / inf would be NaN.
         """
         dv = self.den.evaluate(value)
         if dv == 0:
             raise ZeroDivisionError(f"pole at q = {value}")
-        return self.num.evaluate(value) / dv
+        result = self.num.evaluate(value) / dv
+        if isinstance(result, (float, complex)) and not cmath.isfinite(result):
+            raise OverflowError(
+                f"{self} is not finite at q = {value}")
+        return result
 
     def __str__(self) -> str:
         if self.den.coeffs == (1,):

@@ -479,6 +479,14 @@ def test_each_hom_side_is_decomposed_once(monkeypatch):
     assert len(calls) <= 14
 
 
+def test_generic_coefficients_are_drawn_once_and_read_only():
+    coefficients = alt_decompose._generic_coefficients(4)
+    assert alt_decompose._generic_coefficients(4) is coefficients
+    assert not coefficients.flags.writeable
+    fresh = np.random.default_rng(alt_decompose._GENERIC_SEED)
+    assert np.array_equal(coefficients, fresh.standard_normal(4))
+
+
 def test_induction_unknown_label():
     report = classify(3, Fraction(2))
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -184,6 +185,27 @@ def test_float_overflow_exits_one(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
+
+
+def test_rewrite_overflow_exits_one(capsys):
+    # q^2 overflows in a coefficient's numerator and denominator alike;
+    # the value inf / inf once came out as "nan" with exit 0
+    code, out, err = run(capsys, "rewrite", "--n", "4", "--word", "y1 y1 y1",
+                         "--q", "1e200")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: out of floating-point range: ")
+    assert "is not finite at q = 1e+200" in err
+
+
+def test_seminormal_overflow_names_q_and_n(capsys):
+    # B of the f-block overflows at q = 1e100 while q^d does not; the
+    # build refuses before any matrix product can warn about inf or nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "classify", "--n", "4", "--q", "1e100")
+    assert (code, out) == (1, "")
+    assert err == ("error: out of floating-point range: a seminormal entry "
+                   "is not finite at q = 1e+100, n = 4\n")
 
 
 def test_cap_override(capsys):

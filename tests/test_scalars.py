@@ -62,6 +62,15 @@ def test_rf_evaluate_pole():
     assert f.evaluate(Fraction(3)) == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("q", [1e200, 1e200 + 1e200j])
+def test_rf_evaluate_refuses_a_result_that_is_not_finite(q):
+    # q^2 overflows in the numerator and the denominator alike, and the
+    # quotient would be inf / inf = nan
+    with pytest.raises(OverflowError, match="is not finite at q = "):
+        c_squared().evaluate(q)
+    assert c_squared().evaluate(1e100) == 1.0
+
+
 # -- q-integers --------------------------------------------------------------
 
 def ladder_oracle(d: int, value: Fraction) -> Fraction:
