@@ -18,7 +18,10 @@ requests are:
   acceptance suite and at 1+0.5i;
 - `classify_offsample`: `classify` and `induce` at n = 3..6 for q in
   {-0.9, -0.99, -1.01, 0.5i, 1}, where real and complex input once took
-  different branches of the split and of the Hom basis.
+  different branches of the split and of the Hom basis;
+- `frontier`: `classify` and `induce` at n = 7 for q in {2, 0.3, 1+0.5i,
+  -0.9, 0.5i}, and `classify --n 8 --q 2`, the largest requests the CLI
+  accepts by default.
 
 The rewrite, verify_seed and dim digests were recorded at commit
 da32be3, where every exact coefficient was built by gcd-reduced
@@ -32,7 +35,10 @@ entry from partner tableaux; reusing one spectral record per side keeps
 every floating-point operation, so those bytes must not move either.
 The symmetry and classify_offsample digests were recorded at commit
 cae87bd, before the split of a self-conjugate restriction took one path
-for real and complex input.
+for real and complex input.  The frontier digests were recorded at
+commit 6fc2f7f, where each transpose pair was checked by a Hom solve and
+a self-conjugate restriction was split by an eigendecomposition of a
+non-scalar element of its solved commutant.
 
 To record groups again, run from the root of the repository, naming
 the groups:
@@ -65,6 +71,7 @@ DIM_Q = ("2", "3/2", "0.3", "1+0.5i", "-0.9", "1e-5")
 VERIFY_Q = ("2", "3/2", "0.3", "1+0.5i")
 INDUCE_LABELS = ("4,2", "3,2,1:plus")
 OFFSAMPLE_Q = ("-0.9", "-0.99", "-1.01", "0.5i", "1")
+FRONTIER_Q = ("2", "0.3", "1+0.5i", "-0.9", "0.5i")
 
 
 def requests() -> dict:
@@ -94,9 +101,12 @@ def requests() -> dict:
     offsample = [[command, "--n", str(n), "--q", q]
                  for command in ("classify", "induce")
                  for n in range(3, 7) for q in OFFSAMPLE_Q]
+    frontier = [[command, "--n", "7", "--q", q]
+                for command in ("classify", "induce") for q in FRONTIER_Q]
+    frontier.append(["classify", "--n", "8", "--q", "2"])
     return {"rewrite": rewrite, "verify_seed": verify, "dim": dim,
             "classify": classify, "induce": induce, "symmetry": symmetry,
-            "classify_offsample": offsample}
+            "classify_offsample": offsample, "frontier": frontier}
 
 
 def record(argv: list) -> dict:
