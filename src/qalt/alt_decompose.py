@@ -7,11 +7,14 @@ answered here are numeric-linear-algebra questions about those matrices:
 
   - irreducibility: the commutant {X : X Y_i = Y_i X for all i} is
     one-dimensional exactly for the irreducible restrictions;
-  - equivalence: a nonzero solution of X Y_i = Y'_i X is an intertwiner,
-    and restrictions of a shape and its transpose are always equivalent;
-  - splitting: a self-conjugate shape has a two-dimensional commutant, and
-    spectral projection of its non-scalar element cuts the restriction
-    into two inequivalent invariant halves of equal dimension.
+  - equivalence: a nonzero solution of X Y_i = Y'_i X is an intertwiner.
+    A shape and its transpose have a known one, the signed permutation
+    of hecke_rep.transpose_witness, whose residual classify checks;
+  - splitting: on a self-conjugate shape that witness commutes with the
+    restriction and squares to eps = (-1)^((n - k)/2) times the identity
+    (k the diagonal length; the sign of A_n's associate characters,
+    James-Kerber 2.5), so its +-sqrt(eps) eigenspaces, spanned by pair
+    sums (v_T +- sqrt(eps) s v_T') / sqrt(2), are two invariant halves.
 
 classify() assembles the complete list of irreducibles: one label per
 transpose pair {λ, ^tλ}, two labels (plus/minus) per self-conjugate λ,
@@ -38,14 +41,16 @@ full system, estimated by a fixed-seed power iteration.  Every rank or
 nullity decision goes through hecke_rep.numeric_rank or
 hecke_rep.nullspace, whose singular-value threshold has an explicit gap
 guard: a spectrum without a clear gap raises IndeterminateRankError
-instead of guessing.  Residuals (of an intertwiner, and of the split
-halves' invariance) are tested against tol times the larger of 1 and the
-generators' largest norm bound, since their rounding error grows with
-the entries, which reach about 4e4 near q = -1.
+instead of guessing.  Residuals (of an intertwiner, the transpose
+witness included, and of the split halves' invariance) are tested
+against tol times the larger of 1 and the generators' largest norm
+bound, since their rounding error grows with the entries, which reach
+about 4e4 near q = -1.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -60,6 +65,7 @@ from .hecke_rep import (
     build_representation,
     nullspace,
     sup_norm,
+    transpose_witness,
 )
 from .scalars import q_to_text
 from .tableaux import YoungDiagram, enumerate_diagrams, transpose
@@ -278,12 +284,19 @@ def commutant_dimension(r) -> int:
     matrices (so a direct sum can be tested by passing block-diagonal
     matrices): 1 means irreducible; a direct sum of two irreducibles gives
     2 + (1 if they are equivalent).  Without generators (n = 2, where
-    every representation is one-dimensional) the answer is 1.
+    every representation is one-dimensional) the answer is 1.  A solve
+    that returns no solution at all has lost the identity, which always
+    commutes, and raises IndeterminateRankError.
     """
     side = _side(r)
     if side is None:
         return 1
-    return _hom(side, side).shape[0]
+    dim = _hom(side, side).shape[0]
+    if dim == 0:
+        raise IndeterminateRankError(
+            f"the commutant solve of a dimension-{side.dim} restriction "
+            f"found no solution, not even the identity")
+    return dim
 
 
 def find_intertwiner(r1, r2, tol: float = 1e-10):
@@ -310,118 +323,62 @@ def find_intertwiner(r1, r2, tol: float = 1e-10):
 
 
 # ---------------------------------------------------------------------------
-# splitting self-conjugate restrictions
+# the transpose witness: equivalence of transpose pairs, self-conjugate split
 
-def _transpose_index(rep: Representation, onto: Representation) -> np.ndarray:
-    """Position in onto's basis of the transpose of each tableau of rep's."""
-    index = {t.entries: k for k, t in enumerate(onto.basis)}
-    return np.array([index[transpose(t).entries] for t in rep.basis])
-
-
-def _nonscalar_commutant_element(null: np.ndarray, dim: int) -> np.ndarray:
-    eye = np.eye(dim)
-    best, best_norm = None, -1.0
-    for row in null:
-        x = row.reshape(dim, dim)
-        x = x - (np.trace(x) / dim) * eye
-        norm = sup_norm(x)
-        if norm > best_norm:
-            best, best_norm = x, norm
-    if best is None or best_norm < 1e-10:
-        raise IndeterminateRankError("commutant has no usable non-scalar element")
-    return best
-
-
-def _two_clusters(values: np.ndarray):
-    """Split sorted 1-d coordinates at the largest gap; indices per side."""
-    order = np.argsort(values)
-    sorted_vals = values[order]
-    gaps = np.diff(sorted_vals)
-    cut = int(np.argmax(gaps))
-    gap = float(gaps[cut])
-    low = order[:cut + 1]
-    high = order[cut + 1:]
-    return low, high, gap
+def _witness_residual(index: np.ndarray, signs: np.ndarray,
+                      r1: RestrictedRep, r2: RestrictedRep) -> float:
+    """max_i |Y2_i X - X Y1_i| for the signed permutation X of
+    hecke_rep.transpose_witness, without forming X."""
+    a, b = r1.stacked, r2.stacked
+    xa = np.empty(a.shape, dtype=np.result_type(a, b))
+    xa[:, index] = signs[:, None] * a
+    return sup_norm(b[:, :, index] * signs - xa)
 
 
 def split_self_conjugate(r: RestrictedRep, tol: float = 1e-10):
     """Two invariant halves of a self-conjugate restriction.
 
     Returns (plus_basis, minus_basis, report): orthonormal column bases of
-    the two complementary invariant subspaces, found by spectral projection
-    of the non-scalar commutant element.  The literal plus/minus tableau
-    combinations are evaluated as a diagnostic only; their invariance
-    residual is reported without a verdict because their off-diagonal
-    signs are convention-dependent.  The split passes when the halves'
-    invariance residual is below _residual_limit(tol) of r.
+    the +sqrt(eps) and -sqrt(eps) eigenspaces of the transpose witness X,
+    which commutes with every Y_i and squares to eps times the identity.
+    No tableau is its own transpose, so each pair {T, T'} of transposed
+    tableaux gives each half one column (v_T +- sqrt(eps) s v_T') / sqrt(2),
+    s the reading sign of T.  eps = -1 makes the halves complex.  The split
+    passes when the halves' invariance residual is below _residual_limit(tol)
+    of r.
     """
     shape = r.source.shape
     if not shape.is_self_conjugate:
         raise ValueError(f"shape {shape.text()} is not self-conjugate")
     dim = r.dim
-    null = _hom(r, r)
-    if null.shape[0] != 2:
-        raise IndeterminateRankError(
-            f"commutant dimension {null.shape[0]}, expected 2 for a "
-            f"self-conjugate restriction")
-    # the two eigenvalues of the non-scalar element, real or complex, lie
-    # apart from each other: split at the largest gap of their distances
-    # from one of them
-    x = _nonscalar_commutant_element(null, dim)
-    eigenvalues, vectors = np.linalg.eig(x)
-    low, high, gap = _two_clusters(np.abs(eigenvalues - eigenvalues[0]))
-    basis_low, basis_high = (np.linalg.qr(vectors[:, side])[0]
-                             for side in (low, high))
-    if basis_low.shape[1] != basis_high.shape[1]:
-        raise IndeterminateRankError(
-            f"unequal split {basis_low.shape[1]} + {basis_high.shape[1]} "
-            f"of dimension {dim}")
+    index, signs = transpose_witness(r.source, r.source)
+    ks = np.flatnonzero(np.arange(dim) < index)
+    mates = index[ks]
+    root = 1.0 if signs[ks[0]] * signs[mates[0]] > 0 else 1j
+
+    def half(mu) -> np.ndarray:
+        basis = np.zeros((dim, ks.size), dtype=np.result_type(mu, r.stacked))
+        cols = np.arange(ks.size)
+        basis[ks, cols] = 1 / math.sqrt(2)
+        basis[mates, cols] = mu * signs[mates] / math.sqrt(2)
+        return basis
 
     def invariance_residual(basis: np.ndarray) -> float:
         comp = np.eye(dim) - basis @ basis.conj().T
         return max((sup_norm(comp @ (y @ basis)) for y in r.y_matrices),
                    default=0.0)
 
-    # tag by overlap with the symmetrized transpose-permutation projector
-    # (1 + S)/2, where S moves row k of a basis to row mate[k]
-    mate = _transpose_index(r.source, r.source)
-
-    def overlap(basis: np.ndarray) -> float:
-        return float(np.real(np.vdot(basis, basis + basis[mate]))) / 2
-
-    # plus is the half with the larger overlap, the high one on a tie
-    halves = [(overlap(b), invariance_residual(b), b)
-              for b in (basis_low, basis_high)]
-    (o_minus, res_minus, minus_basis), (o_plus, res_plus, plus_basis) = \
-        sorted(halves, key=lambda half: half[0])
-
-    # diagnostic: the literal symmetric/antisymmetric tableau combinations
-    ks = np.flatnonzero(np.arange(dim) < mate)
-    cols = np.arange(ks.size)
-    lit_residual = 0.0
-    for sign in (1.0, -1.0):
-        literal = np.zeros((dim, ks.size))
-        literal[ks, cols] = 1.0 / math.sqrt(2.0)
-        literal[mate[ks], cols] = sign / math.sqrt(2.0)
-        lit_residual = max(lit_residual, invariance_residual(literal))
-
+    halves = half(root), half(-root)
+    residual = max(map(invariance_residual, halves))
     report = {
         "shape": shape.text(),
         "dim": dim,
-        "method": "commutant spectral projection",
-        "commutant_dim": 2,
-        "split_dims": [plus_basis.shape[1], minus_basis.shape[1]],
-        "eigenvalue_gap": gap,
-        "invariance_residual": max(res_plus, res_minus),
-        "tag_overlaps": {"plus": o_plus, "minus": o_minus},
-        "literal_basis_diagnostic": {
-            "description": "invariance residual of the v_T +/- v_(transpose T) "
-                           "basis; reported only, not used for the split",
-            "invariance_residual": lit_residual,
-        },
-        "pass": max(res_plus, res_minus) < _residual_limit(tol, r),
+        "method": "transpose witness eigenspaces",
+        "split_dims": [ks.size, ks.size],
+        "invariance_residual": residual,
+        "pass": residual < _residual_limit(tol, r),
     }
-    return plus_basis, minus_basis, report
+    return *halves, report
 
 
 # ---------------------------------------------------------------------------
@@ -461,20 +418,21 @@ def classify(n: int, q, tol: float = 1e-10) -> DecompositionReport:
     One label per transpose pair of shapes (anchored at the shape with the
     larger rows, the first in enumeration order), two labels per
     self-conjugate shape.  Verifies commutant dimension 1 per label, the
-    transpose-pair equivalences, the pairwise inequivalence of distinct
-    labels, and Σ dim² = n!/2.
+    transpose-pair equivalences (the transpose witness's residual within
+    _residual_limit(tol) of the pair), the split of each self-conjugate
+    shape, the pairwise inequivalence of distinct labels, and
+    Σ dim² = n!/2.  The pair checks and the splits solve no Hom system.
     """
     if n < 3:
         raise ValueError("classify needs n >= 3")
     diagrams = enumerate_diagrams(n)
-    restrictions: dict[str, RestrictedRep] = {}
-    for shape in diagrams:
-        restrictions[shape.text()] = restrict(build_representation(shape, q, "f"))
+    restrictions = {shape.text(): restrict(build_representation(shape, q, "f"))
+                    for shape in diagrams}
     q_value = next(iter(restrictions.values())).source.q_value
 
-    labels: list[dict] = []
     equivalences: list[list[str]] = []
-    label_sides: dict[str, RestrictedRep] = {}
+    # (shape, tag, record) per label: an anchor's restriction or a half
+    sides: list[tuple[str, str, RestrictedRep]] = []
     all_pass = True
 
     for shape in diagrams:
@@ -483,35 +441,34 @@ def classify(n: int, q, tol: float = 1e-10) -> DecompositionReport:
         text = shape.text()
         r = restrictions[text]
         if shape.is_self_conjugate:
-            plus_basis, minus_basis, split_report = split_self_conjugate(r, tol)
+            *halves, split_report = split_self_conjugate(r, tol)
             all_pass = all_pass and split_report["pass"]
-            for tag, basis in (("plus", plus_basis), ("minus", minus_basis)):
-                half = RestrictedRep(None, tuple(basis.conj().T @ y @ basis
-                                                 for y in r.y_matrices))
-                cdim = commutant_dimension(half)
-                labels.append({"shape": text, "tag": tag,
-                               "dim": basis.shape[1], "commutant_dim": cdim})
-                label_sides[_label_key(text, tag)] = half
-                all_pass = all_pass and cdim == 1
+            for tag, basis in zip(("plus", "minus"), halves):
+                sides.append((text, tag, RestrictedRep(
+                    None, tuple(basis.conj().T @ y @ basis
+                                for y in r.y_matrices))))
         else:
-            cdim = commutant_dimension(r)
-            labels.append({"shape": text, "tag": "whole",
-                           "dim": r.dim, "commutant_dim": cdim})
-            label_sides[_label_key(text, "whole")] = r
-            all_pass = all_pass and cdim == 1
+            sides.append((text, "whole", r))
             partner = transpose(shape).text()
-            witness = find_intertwiner(r, restrictions[partner], tol)
-            all_pass = all_pass and witness is not None
+            r2 = restrictions[partner]
+            residual = _witness_residual(
+                *transpose_witness(r.source, r2.source), r, r2)
+            all_pass = all_pass and residual <= _residual_limit(tol, r, r2)
             equivalences.append([text, partner])
 
+    labels: list[dict] = []
+    label_sides: dict[str, RestrictedRep] = {}
+    for text, tag, side in sides:
+        cdim = commutant_dimension(side)
+        labels.append({"shape": text, "tag": tag,
+                       "dim": side.dim, "commutant_dim": cdim})
+        label_sides[_label_key(text, tag)] = side
+        all_pass = all_pass and cdim == 1
+
     # distinct labels must be pairwise inequivalent
-    keys = [_label_key(label["shape"], label["tag"]) for label in labels]
-    for a in range(len(keys)):
-        for b in range(a + 1, len(keys)):
-            witness = find_intertwiner(label_sides[keys[a]],
-                                       label_sides[keys[b]], tol)
-            if witness is not None:
-                all_pass = False
+    for side1, side2 in itertools.combinations(label_sides.values(), 2):
+        if find_intertwiner(side1, side2, tol) is not None:
+            all_pass = False
 
     total = sum(label["dim"] ** 2 for label in labels)
     expected = math.factorial(n) // 2
@@ -593,7 +550,7 @@ def transpose_symmetry_report(shape: YoungDiagram, q,
     """
     r1 = restrict(build_representation(shape, q, "f"))
     r2 = restrict(build_representation(transpose(shape), q, "f"))
-    perm = _transpose_index(r1.source, r2.source)
+    perm, _ = transpose_witness(r1.source, r2.source)
 
     generators = []
     all_pass = True

@@ -45,6 +45,7 @@ from .tableaux import (
     YoungDiagram,
     enumerate_diagrams,
     enumerate_standard_tableaux,
+    transpose,
 )
 
 __all__ = [
@@ -54,6 +55,7 @@ __all__ = [
     "IndeterminateRankError",
     "Representation",
     "build_representation",
+    "transpose_witness",
     "evaluate_word",
     "verify_relations",
     "direct_sum",
@@ -335,7 +337,10 @@ def build_representation(shape: YoungDiagram, q, form: str = "f") -> Representat
             rows[ri - 1][ci - 1], rows[rj - 1][cj - 1] = i + 1, i
             b = index[tuple(map(tuple, rows))]
             if d not in blocks:
-                blocks[d] = tuple(cast(v) for v in _block_entries(d, qv, form))
+                try:
+                    blocks[d] = tuple(map(cast, _block_entries(d, qv, form)))
+                except OverflowError:   # raised by a float or complex q^d
+                    blocks[d] = (math.inf,)
                 # B overflows at large q before q^d does
                 if not all(map(cmath.isfinite, blocks[d])):
                     raise OverflowError(
@@ -349,6 +354,41 @@ def build_representation(shape: YoungDiagram, q, form: str = "f") -> Representat
         mat.setflags(write=False)
         matrices.append(mat)
     return Representation(shape, basis, tuple(matrices), qv, form)
+
+
+def _reading_sign(t: StandardTableau) -> int:
+    """(-1)^(inversions of the row reading word of t)."""
+    word = [v for row in t.entries for v in row]
+    inversions = sum(a > b for k, a in enumerate(word) for b in word[k + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def transpose_witness(rep: Representation,
+                      onto: Representation) -> tuple[np.ndarray, np.ndarray]:
+    """The signed permutation X with onto(f_i) X = -X rep(f_i) for all i.
+
+    onto is rep's form (f or sym) on the transposed shape at the same q.
+    Column k of X is signs[k] times onto's basis vector index[k], the
+    transpose of rep's k-th tableau; signs[k] is the reading sign
+    (-1)^(inversions of the row reading word) of that tableau.  The
+    anchoring rule fixes the sign: transposing negates axial distances,
+    so anchor and partner trade places (A and -A swap), B keeps its value
+    and branch, and s_i flips the reading sign.  X thus intertwines the
+    even subalgebra's restrictions exactly.  For a self-conjugate shape
+    (onto = rep), X^2 = eps I with eps = signs[k] signs[index[k]] for all k.
+    """
+    if (rep.form == "g" or onto.form != rep.form
+            or onto.shape != transpose(rep.shape)):
+        raise ValueError(
+            f"no transpose witness from the {rep.form}-form of "
+            f"{rep.shape.text()} to the {onto.form}-form of "
+            f"{onto.shape.text()}")
+    position = {t.entries: k for k, t in enumerate(onto.basis)}
+    index = np.array([position[transpose(t).entries] for t in rep.basis],
+                     dtype=np.intp)
+    signs = np.array([_reading_sign(onto.basis[k]) for k in index],
+                     dtype=float)
+    return index, signs
 
 
 def evaluate_word(rep: Representation, word: Sequence[int]) -> np.ndarray:
@@ -534,16 +574,15 @@ def dimension_certificate(n: int, q=Fraction(2)) -> dict:
     both sides.
 
     The columns are those of the direct sum of all irreducibles, reduced
-    by transpose pairs.  On the transposed shape, rho'(f_i) = -E P rho(f_i)
-    P^T E with P the tableau transpose and E = diag((-1)^l(T)), so an even
-    word's image there is a signed permutation of its image on the shape.
-    One shape per pair (the anchor of classify, with the larger rows)
-    therefore stands for both with weight sqrt(2), and each self-conjugate
-    shape keeps weight 1: the matrix M has the same M M^H as the full
-    direct sum, hence the same singular values.  numeric_rank reads a
-    clearly full rank from a block Cholesky test of the shifted Gram
-    matrix, with its panels' residuals charged to the shift, and takes
-    the SVD otherwise.  Raises ValueError up front when memory would not
+    by transpose pairs.  An even word's image on the transposed shape is
+    X W X^T, W its image on the shape and X the signed permutation of
+    transpose_witness.  One shape per pair (the anchor of classify, with
+    the larger rows) stands for both with weight sqrt(2), and each
+    self-conjugate shape keeps weight 1: the matrix M has the same M M^H
+    as the full direct sum, hence the same singular values.  numeric_rank
+    reads a clearly full rank from a block Cholesky test of the shifted
+    Gram matrix, with its panels' residuals charged to the shift, and
+    takes the SVD otherwise.  Raises ValueError up front when memory would not
     suffice (see _word_matrix).
     """
     big = _word_matrix(n, q)

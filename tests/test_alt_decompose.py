@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qalt import alt_decompose
+from qalt import alt_decompose, hecke_rep
 from qalt.tableaux import enumerate_diagrams, parse_shape, transpose
 from qalt.hecke_rep import build_representation, numeric_rank, sup_norm
 from qalt.word_algebra import NormalFormMonomial, enumerate_normal_monomials
@@ -127,6 +127,13 @@ def test_commutant_of_direct_sum():
                                                restricted("3,1"))) == 4
     assert commutant_dimension(direct_sum_pair(restricted("4"),
                                                restricted("3,1"))) == 2
+
+
+def test_commutant_without_the_identity_is_indeterminate():
+    # near q = -1 the solve of 4,2,1's commutant returns no solution; the
+    # identity always commutes, so that is a failed solve, not a dimension
+    with pytest.raises(IndeterminateRankError):
+        commutant_dimension(restricted("4,2,1", -0.99))
 
 
 def test_commutant_refuses_ambiguous_spectrum():
@@ -280,14 +287,11 @@ def test_split_halves_evenly(shape_text, q):
     plus, minus, report = split_self_conjugate(r)
     assert plus.shape[1] == minus.shape[1] == r.dim // 2
     assert report["pass"]
-    assert report["method"] == "commutant spectral projection"
+    assert report["method"] == "transpose witness eigenspaces"
     assert report["invariance_residual"] < 1e-10
     assert report["split_dims"] == [r.dim // 2, r.dim // 2]
-    assert report["tag_overlaps"]["plus"] >= report["tag_overlaps"]["minus"]
     assert set(report) == {
-        "shape", "dim", "method", "commutant_dim", "split_dims",
-        "eigenvalue_gap", "invariance_residual", "tag_overlaps",
-        "literal_basis_diagnostic", "pass"}
+        "shape", "dim", "method", "split_dims", "invariance_residual", "pass"}
 
 
 def test_split_pieces_inequivalent():
@@ -307,21 +311,35 @@ def test_split_rejects_non_self_conjugate():
         split_self_conjugate(restricted("3,1"))
 
 
-def test_split_tags_use_transpose_pairing():
-    # plus is the half with the larger overlap against the symmetrized
-    # transpose projector; the overlap gap is genuine for (3,1,1)
-    _, _, report = split_self_conjugate(restricted("3,1,1"))
-    overlaps = report["tag_overlaps"]
-    assert overlaps["plus"] > overlaps["minus"] + 0.5
-    for text in ("2,1", "2,2"):
-        _, _, rep = split_self_conjugate(restricted(text))
-        assert rep["tag_overlaps"]["plus"] >= rep["tag_overlaps"]["minus"]
+@pytest.mark.parametrize("q", [Fraction(2), 0.3, -0.9, COMPLEX_Q,
+                               complex(0, 0.5)])
+def test_split_projectors_lie_in_the_solved_commutant(q):
+    # each half's orthogonal projector commutes with the restriction: it
+    # is a combination of the two solutions of the numeric commutant solve
+    for text in ("2,1", "2,2", "3,1,1", "3,2,1", "4,1,1,1"):
+        r = restricted(text, q)
+        null = alt_decompose._hom(r, r)
+        assert null.shape[0] == 2
+        for basis in split_self_conjugate(r)[:2]:
+            assert sup_norm(basis.conj().T @ basis - np.eye(r.dim // 2)) \
+                < 1e-15
+            projector = (basis @ basis.conj().T).ravel()
+            inside = (null.conj() @ projector) @ null
+            assert sup_norm(projector - inside) < 1e-10
 
 
-def test_literal_basis_is_a_diagnostic_only():
-    _, _, report = split_self_conjugate(restricted("3,1,1"))
-    diag = report["literal_basis_diagnostic"]
-    assert diag["invariance_residual"] > 1e-3
+@pytest.mark.parametrize("text", ["2,1", "2,2", "3,1,1", "3,2,1", "4,1,1,1",
+                                  "3,3,2", "4,2,1,1", "5,1,1,1,1"])
+def test_witness_square_is_the_associate_sign(text):
+    # X^2 = eps I with eps = (-1)^((n - k)/2), k the diagonal length: the
+    # sign that makes the halves real (eps = 1) or complex (eps = -1)
+    rep = build_representation(parse_shape(text), Fraction(2), "f")
+    index, signs = hecke_rep.transpose_witness(rep, rep)
+    diagonal = sum(1 for i, row in enumerate(rep.shape.rows) if row > i)
+    eps = (-1) ** ((rep.n - diagonal) // 2)
+    assert np.array_equal(signs * signs[index], np.full(rep.dim, eps))
+    plus, minus, _ = split_self_conjugate(restrict(rep))
+    assert np.isrealobj(plus) == np.isrealobj(minus) == (eps == 1)
 
 
 def test_split_spectrum_on_smallest_case():
@@ -471,12 +489,13 @@ def test_each_hom_side_is_decomposed_once(monkeypatch):
 
     monkeypatch.setattr(alt_decompose.np.linalg, "eig", counting_eig)
     assert classify(6, Fraction(2)).checks["pass"]
-    # one generic element per shape and one per half of 3,2,1, and the
-    # non-scalar commutant element that splits 3,2,1
-    assert len(calls) == len(enumerate_diagrams(6)) + 2 + 1 == 14
+    # one generic element per anchor that is not self-conjugate and one
+    # per half of 3,2,1: the transpose pairs and the split solve nothing
+    assert len(calls) == 5 + 2 == 7
     calls.clear()
+    # induction adds the other shapes' restrictions, 3,2,1's included
     assert induction_table(6, Fraction(2))["pass"]
-    assert len(calls) <= 14
+    assert len(calls) == len(enumerate_diagrams(6)) + 2 == 13
 
 
 def test_generic_coefficients_are_drawn_once_and_read_only():

@@ -198,14 +198,18 @@ def test_rewrite_overflow_exits_one(capsys):
 
 
 def test_seminormal_overflow_names_q_and_n(capsys):
-    # B of the f-block overflows at q = 1e100 while q^d does not; the
-    # build refuses before any matrix product can warn about inf or nan
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run(capsys, "classify", "--n", "4", "--q", "1e100")
-    assert (code, out) == (1, "")
-    assert err == ("error: out of floating-point range: a seminormal entry "
-                   "is not finite at q = 1e+100, n = 4\n")
+    # B of the f-block overflows at q = 1e100 while q^d does not, and at
+    # 1e200 the float q^d itself raises; either way the build refuses
+    # before any matrix product can warn about inf or nan
+    for command, q, shown in (("classify", "1e100", "1e+100"),
+                              ("classify", "1e200", "1e+200"),
+                              ("verify", "1e200", "1e+200")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, command, "--n", "4", "--q", q)
+        assert (code, out) == (1, "")
+        assert err == ("error: out of floating-point range: a seminormal "
+                       f"entry is not finite at q = {shown}, n = 4\n")
 
 
 @pytest.mark.parametrize("q", ["-0.99", "-1.01"])

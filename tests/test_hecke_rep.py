@@ -27,6 +27,7 @@ from qalt.hecke_rep import (
     numeric_rank,
     representation_to_jsonable,
     sup_norm,
+    transpose_witness,
     verify_relations,
 )
 from qalt.word_algebra import enumerate_even_uwords
@@ -225,7 +226,27 @@ def reading_sign(t):
     return -1.0 if inversions % 2 else 1.0
 
 
-@pytest.mark.parametrize("q", [Fraction(2), Fraction(5, 7), 0.3, 1 + 0.5j, -0.9])
+def reading_sign_oracle(rep, rep_t):
+    """E P, where P sends v_T to v_(transpose T) and E = diag(reading_sign)
+    on the transposed basis."""
+    index_t = {t.entries: k for k, t in enumerate(rep_t.basis)}
+    p = np.zeros((rep.dim, rep.dim))
+    for k, t in enumerate(rep.basis):
+        p[index_t[transpose(t).entries], k] = 1.0
+    return np.diag([reading_sign(t) for t in rep_t.basis]) @ p
+
+
+def witness_matrix(rep, rep_t):
+    index, signs = transpose_witness(rep, rep_t)
+    x = np.zeros((rep.dim, rep.dim))
+    x[index, np.arange(rep.dim)] = signs
+    return x
+
+
+WITNESS_Q = (Fraction(2), Fraction(5, 7), 0.3, 1 + 0.5j, -0.9)
+
+
+@pytest.mark.parametrize("q", WITNESS_Q)
 def test_transposed_even_words_are_signed_permutations(q):
     # the identity behind the certificate's transpose-pair column cut:
     # rho'(w) = E P rho(w) P^T E for every even word w, where P sends v_T
@@ -236,21 +257,51 @@ def test_transposed_even_words_are_signed_permutations(q):
         for shape in enumerate_diagrams(n):
             rep = build_representation(shape, q, "f")
             rep_t = build_representation(transpose(shape), q, "f")
-            index_t = {t.entries: k for k, t in enumerate(rep_t.basis)}
-            p = np.zeros((rep.dim, rep.dim))
-            for k, t in enumerate(rep.basis):
-                p[index_t[transpose(t).entries], k] = 1.0
-            e = np.diag([reading_sign(t) for t in rep_t.basis])
+            ep = reading_sign_oracle(rep, rep_t)
             for m, mt in zip(rep.generator_matrices, rep_t.generator_matrices):
-                assert sup_norm(mt + e @ p @ m @ p.T @ e) == 0.0
+                assert sup_norm(mt + ep @ m @ ep.T) == 0.0
             for word in enumerate_even_uwords(n):
                 letters = word.letters()
                 scale = np.eye(rep.dim)
                 for i in letters:
                     scale = scale @ np.abs(rep.generator_matrices[i - 1])
-                image = e @ p @ evaluate_word(rep, letters) @ p.T @ e
+                image = ep @ evaluate_word(rep, letters) @ ep.T
                 assert sup_norm(evaluate_word(rep_t, letters) - image) \
                     <= 1e-12 * sup_norm(scale)
+
+
+@pytest.mark.parametrize("q", WITNESS_Q)
+def test_transpose_witness_is_the_reading_sign_oracle(q):
+    # transpose_witness is E P, and it intertwines the restrictions to the
+    # even subalgebra with no rounding at all
+    for n in range(3, 8):
+        for shape in enumerate_diagrams(n):
+            rep = build_representation(shape, q, "f")
+            rep_t = build_representation(transpose(shape), q, "f")
+            x = witness_matrix(rep, rep_t)
+            assert np.array_equal(x, reading_sign_oracle(rep, rep_t))
+            f, f_t = rep.generator_matrices, rep_t.generator_matrices
+            for i in range(1, n - 1):
+                assert sup_norm(f_t[0] @ f_t[i] @ x - x @ f[0] @ f[i]) == 0.0
+
+
+def test_transpose_witness_forms():
+    # the orthogonal form of the symmetric group obeys the same identity;
+    # the g-form does not, and a shape that is not the transpose is refused
+    for n in range(2, 7):
+        for shape in enumerate_diagrams(n):
+            rep = build_representation(shape, None, "sym")
+            rep_t = build_representation(transpose(shape), None, "sym")
+            x = witness_matrix(rep, rep_t)
+            for m, m_t in zip(rep.generator_matrices,
+                              rep_t.generator_matrices):
+                assert sup_norm(m_t @ x + x @ m) == 0.0
+    rep = build_representation(parse_shape("3,1"), Fraction(2), "f")
+    with pytest.raises(ValueError):
+        transpose_witness(rep, rep)
+    g = build_representation(parse_shape("2,1"), Fraction(2), "g")
+    with pytest.raises(ValueError):
+        transpose_witness(g, g)
 
 
 # -- words and sums ---------------------------------------------------------------
