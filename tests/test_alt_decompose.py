@@ -357,6 +357,22 @@ def test_split_spectrum_on_smallest_case():
     assert abs(vals[1] - roots[1]) < 1e-10
 
 
+@pytest.mark.parametrize("split", [False, True])
+def test_a_wrong_witness_sign_fails_the_checks(monkeypatch, split):
+    # with every sign +1, X intertwines neither a transpose pair nor the
+    # halves of a split: a changed sign convention fails classify's checks
+    # instead of passing silently
+    def unsigned(rep, onto):
+        index, signs = hecke_rep.transpose_witness(rep, onto)
+        return index, np.ones_like(signs) if (onto is rep) == split else signs
+
+    monkeypatch.setattr(alt_decompose, "transpose_witness", unsigned)
+    for n in (4, 5):
+        assert classify(n, Fraction(2)).checks["pass"] is False
+    if split:
+        assert split_self_conjugate(restricted("3,1,1"))[2]["pass"] is False
+
+
 # -- classification ----------------------------------------------------------------------
 
 def test_classify_n3():
