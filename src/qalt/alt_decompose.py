@@ -19,38 +19,54 @@ answered here are numeric-linear-algebra questions about those matrices:
 classify() assembles the complete list of irreducibles: one label per
 transpose pair {λ, ^tλ}, two labels (plus/minus) per self-conjugate λ,
 with the dimension count Σ dim² = n!/2 checked on the way out.  Induction
-multiplicities back up to the full algebra are computed from intertwiner
-counts in restrictions, and per-entry transpose-symmetry deviations of the
+multiplicities back up to the full algebra are read off the
+classification, and per-entry transpose-symmetry deviations of the
 restricted matrices are reported with signs (only absolute values are
 asserted; the off-diagonal signs depend on the square-root convention).
 
-Commutants are Hom(r, r): every solve here is one Hom-space system,
-solved by _hom without forming its d1 d2-column Kronecker matrix.  Any
-X in Hom also intertwines the generic elements Z = sum r_i Y_i (fixed
-coefficients r) of both sides, so it lies in the span of the rank-one
-matrices built from eigenvector pairs of Z2 and Z1 whose eigenvalues
-agree within a candidate band; the system is then solved on an
-orthonormal basis of that span.  A RestrictedRep, the record of one
-shape's restriction or of one split half, computes its stacked
-generators, the eigendecomposition of its Z and its generator norm
-bounds on first use and reuses them in every solve it enters; classify
-keeps one record per label on its report for the pairwise checks and
-the induction multiplicities.  The band and the rank cutoff are both
-measured against a reference scale: the largest singular value of the
-full system, estimated by a fixed-seed power iteration.  Every rank or
-nullity decision goes through hecke_rep.numeric_rank or
-hecke_rep.nullspace, whose singular-value threshold has an explicit gap
-guard: a spectrum without a clear gap raises IndeterminateRankError
-instead of guessing.  Residuals (of an intertwiner, the transpose
-witness included, and of the split halves' invariance) are tested
-against tol times the larger of 1 and the generators' largest norm
-bound, since their rounding error grows with the entries, which reach
-about 4e4 near q = -1.
+Commutants are Hom(r, r): every solve here is one Hom-space system
+{X : X Y1_i = Y2_i X}, taken by one of two routes, neither of which forms
+the d1 d2-column Kronecker matrix.
+
+  - The split route, for two shape restrictions (RestrictedReps whose
+    source is set, at the same q).  A_n(q) has index 2 in H_n(q), and
+    X -> F1_μ X F1_λ is an involution of Hom_A(Res V_λ, Res V_μ) whose +1
+    part is Hom_H(V_λ, V_μ) and whose -1 part is Hom_H(V_λ, V_μ (x) sgn),
+    sgn: f -> -f (Clifford theory of an index-2 subalgebra).  On Young's
+    seminormal basis, the Jucys-Murphy eigenbasis (Ram 1997), an element
+    of the +1 part is diagonal and one of the -1 part is the transpose
+    permutation P times a diagonal.  So μ outside {λ, ^tλ} gives Hom = 0
+    with no system, since the two share no Jucys-Murphy content vector;
+    otherwise X F_i = F_i X is solved for diagonal X (μ = λ) and
+    X F_i = -F_i X for X = P diag(x) (μ = ^tλ), each a sparse system in
+    d unknowns, and each solution's residual against the Y_i is checked.
+  - The generic route, for raw matrix sequences and split halves, which
+    carry no F_i.  Any X in Hom also intertwines the generic elements
+    Z = sum r_i Y_i (fixed coefficients r) of both sides, so it lies in
+    the span of the rank-one matrices built from eigenvector pairs of Z2
+    and Z1 whose eigenvalues agree within a candidate band; the system is
+    then solved on an orthonormal basis of that span.  A RestrictedRep
+    computes its stacked generators, the eigendecomposition of its Z and
+    its generator norm bounds on first use and reuses them in every solve
+    it enters.  The band and the rank cutoff are both measured against a
+    reference scale: the largest singular value of the full system,
+    estimated by a fixed-seed power iteration.
+
+classify needs one split solve per transpose pair and none for the
+halves or for the pairwise inequivalences, and the induction
+multiplicities are read off its report.  Every rank or nullity decision
+goes through hecke_rep.numeric_rank or hecke_rep.nullspace, whose
+singular-value threshold has an explicit gap guard: a spectrum without a
+clear gap raises IndeterminateRankError instead of guessing.  Residuals
+(of an intertwiner, of each split-route solution, of the transpose
+witness, and of the split halves' invariance) are tested against tol
+times the larger of 1 and the generators' largest norm bound, since
+their rounding error grows with the entries, which reach about 4e4 near
+q = -1.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -92,11 +108,12 @@ class RestrictedRep:
     """Even-subalgebra generator matrices Y_i = F_1 F_{i+1} of one shape,
     or of one split half of a self-conjugate shape (then source is None).
 
-    The cached properties are the spectral data of the Hom solves the
-    record enters, each computed on first use: the stacked Y_i, the
-    eigenvalues and eigenvectors of the generic element Z = sum r_i Y_i,
-    the inverse eigenvector matrix and the _norm_bounds of the Y_i.  They
-    live as long as the record: nothing is cached across requests.
+    The cached properties are the data of the Hom solves the record
+    enters, each computed on first use: the stacked Y_i and their
+    _norm_bounds for both routes, and for the generic route the
+    eigenvalues and eigenvectors of the generic element Z = sum r_i Y_i
+    and the inverse eigenvector matrix.  They live as long as the record:
+    nothing is cached across requests.
     """
 
     source: Representation | None
@@ -222,25 +239,98 @@ def _side(r) -> RestrictedRep | None:
 
 
 def _hom(r1, r2) -> np.ndarray:
-    """Basis rows of {X : X Y1_i = Y2_i X}, X of size dim2 x dim1, flattened.
+    """Orthonormal basis rows of {X : X Y1_i = Y2_i X}, X of size
+    dim2 x dim1, flattened.
 
-    r1 and r2 are anything _side accepts; pass a RestrictedRep to reuse
+    r1 and r2 are anything _side accepts.  Two shape restrictions at the
+    same q take the split route (_split_hom); every other pair the
+    generic route (_generic_hom), where passing a RestrictedRep reuses
     its eigendecomposition.
-    Every such X also intertwines the generic elements Z1 = sum r_i Y1_i
-    and Z2 = sum r_i Y2_i, so it lies in the span of the rank-one matrices
-    p2_k (x) p1inv_l over eigenvalue pairs b_k = a_l of Z2 and Z1, read
-    from the two sides' records.  Pairs are kept within a band wide enough
-    for a singular value that could reach the gap guard, and their
-    neighbours within a wider one; the Hom system is then solved on an
-    orthonormal basis of that span (real for real input), with the rank
-    cut against the scale of the full system.
     """
     side1, side2 = _side(r1), _side(r2)
     if side1 is None or side2 is None:
         raise ValueError("no generators to intertwine (n = 2)")
-    a, b = side1.stacked, side2.stacked
-    if len(a) != len(b):
+    if len(side1.y_matrices) != len(side2.y_matrices):
         raise ValueError("generator counts differ (mixed n)")
+    if (side1.source is not None and side2.source is not None
+            and side1.source.q_value == side2.source.q_value):
+        return _split_hom(side1, side2)
+    return _generic_hom(side1, side2)
+
+
+def _split_system(f1, f2, index: np.ndarray, sign: int) -> np.ndarray:
+    """The system X F1_i = sign F2_i X in the unknowns x of X = P diag(x),
+    P the permutation with P[index[k], k] = 1.
+
+    Entry (index[k], l) of the equation reads
+    F1_i[k, l] x_k - sign F2_i[index[k], index[l]] x_l = 0; there is one
+    row for each (i, k, l) where either matrix has a nonzero entry, so a
+    row has at most two nonzeros and the rows number at most 2(n-1)d.
+    """
+    blocks = []
+    for a, b in zip(f1, f2):
+        b = b[np.ix_(index, index)]
+        ks, ls = np.nonzero((a != 0) | (b != 0))
+        rows = np.arange(ks.size)
+        block = np.zeros((ks.size, len(a)), dtype=np.result_type(a, b))
+        block[rows, ks] = a[ks, ls]
+        block[rows, ls] -= sign * b[ks, ls]
+        blocks.append(block)
+    return np.vstack(blocks)
+
+
+def _split_hom(side1: RestrictedRep, side2: RestrictedRep,
+               tol: float = 1e-10) -> np.ndarray:
+    """_hom for two shape restrictions, by the index-2 split.
+
+    The +1 part (shape2 = shape1) is solved on diagonal X and the -1 part
+    (shape2 the transpose of shape1) on X = P diag(x), P the transpose
+    permutation of hecke_rep.transpose_witness; any other pair of shapes
+    has Hom = 0 and forms no system.  The two parts have disjoint
+    supports, so the rows are orthonormal.  A solution whose residual
+    max_i |Y2_i X - X Y1_i| exceeds _residual_limit(tol) of the two sides
+    raises IndeterminateRankError.
+    """
+    rep1, rep2 = side1.source, side2.source
+    parts = []
+    if rep2.shape == rep1.shape:
+        parts.append((np.arange(rep1.dim), 1))
+    if rep2.shape == transpose(rep1.shape):
+        parts.append((transpose_witness(rep1, rep2)[0], -1))
+    rows = []
+    for index, sign in parts:
+        system = _split_system(rep1.generator_matrices,
+                               rep2.generator_matrices, index, sign)
+        for x in nullspace(system):
+            residual = _permutation_residual(index, x, side1, side2)
+            limit = _residual_limit(tol, side1, side2)
+            if not residual <= limit:
+                raise IndeterminateRankError(
+                    f"a split-route solution from {rep1.shape.text()} to "
+                    f"{rep2.shape.text()} has residual {residual:.3e}, "
+                    f"above the tolerance {limit:.1e}")
+            x_matrix = np.zeros((rep2.dim, rep1.dim), dtype=x.dtype)
+            x_matrix[index, np.arange(rep1.dim)] = x
+            rows.append(x_matrix.ravel())
+    if not rows:
+        return np.zeros((0, rep2.dim * rep1.dim), dtype=np.result_type(
+            side1.y_matrices[0], side2.y_matrices[0]))
+    return np.array(rows)
+
+
+def _generic_hom(side1: RestrictedRep, side2: RestrictedRep) -> np.ndarray:
+    """_hom by the generic element, for sides that carry no F_i.
+
+    Every X in the Hom space also intertwines the generic elements
+    Z1 = sum r_i Y1_i and Z2 = sum r_i Y2_i, so it lies in the span of the
+    rank-one matrices p2_k (x) p1inv_l over eigenvalue pairs b_k = a_l of
+    Z2 and Z1, read from the two sides' records.  Pairs are kept within a
+    band wide enough for a singular value that could reach the gap guard,
+    and their neighbours within a wider one; the Hom system is then
+    solved on an orthonormal basis of that span (real for real input),
+    with the rank cut against the scale of the full system.
+    """
+    a, b = side1.stacked, side2.stacked
     d1, d2 = a.shape[1], b.shape[1]
     gaps = np.abs(side2.spectrum[0][:, None] - side1.spectrum[0][None, :])
     width = (np.abs(_generic_coefficients(len(a))).sum()
@@ -283,10 +373,11 @@ def commutant_dimension(r) -> int:
     Accepts a RestrictedRep or a raw sequence of square
     matrices (so a direct sum can be tested by passing block-diagonal
     matrices): 1 means irreducible; a direct sum of two irreducibles gives
-    2 + (1 if they are equivalent).  Without generators (n = 2, where
-    every representation is one-dimensional) the answer is 1.  A solve
-    that returns no solution at all has lost the identity, which always
-    commutes, and raises IndeterminateRankError.
+    2 + (1 if they are equivalent).  A shape restriction takes the split
+    route of _hom, anything else the generic route.  Without generators
+    (n = 2, where every representation is one-dimensional) the answer is
+    1.  A solve that returns no solution at all has lost the identity,
+    which always commutes, and raises IndeterminateRankError.
     """
     side = _side(r)
     if side is None:
@@ -325,14 +416,14 @@ def find_intertwiner(r1, r2, tol: float = 1e-10):
 # ---------------------------------------------------------------------------
 # the transpose witness: equivalence of transpose pairs, self-conjugate split
 
-def _witness_residual(index: np.ndarray, signs: np.ndarray,
-                      r1: RestrictedRep, r2: RestrictedRep) -> float:
-    """max_i |Y2_i X - X Y1_i| for the signed permutation X of
-    hecke_rep.transpose_witness, without forming X."""
+def _permutation_residual(index: np.ndarray, x: np.ndarray,
+                          r1: RestrictedRep, r2: RestrictedRep) -> float:
+    """max_i |Y2_i X - X Y1_i| for X = P diag(x), P[index[k], k] = 1,
+    without forming X: the transpose witness, or a split-route solution."""
     a, b = r1.stacked, r2.stacked
-    xa = np.empty(a.shape, dtype=np.result_type(a, b))
-    xa[:, index] = signs[:, None] * a
-    return sup_norm(b[:, :, index] * signs - xa)
+    xa = np.empty(a.shape, dtype=np.result_type(a, b, x))
+    xa[:, index] = x[:, None] * a
+    return sup_norm(b[:, :, index] * x - xa)
 
 
 def split_self_conjugate(r: RestrictedRep, tol: float = 1e-10):
@@ -393,10 +484,12 @@ class DecompositionReport:
     labels: list[dict]
     equivalences: list[list[str]]
     checks: dict
-    # one record per label: a whole label's restriction or a split half,
-    # reused by every Hom solve the label enters
+    # one record per label: a whole label's restriction or a split half
     label_sides: dict[str, RestrictedRep] = field(default_factory=dict)
     restrictions: dict[str, RestrictedRep] = field(default_factory=dict)
+    # the commutant dimension of each anchor's restriction, by the split
+    # route: 1, or 2 for a self-conjugate shape
+    commutants: dict[str, int] = field(default_factory=dict)
 
     def to_jsonable(self) -> dict:
         return {
@@ -417,11 +510,16 @@ def classify(n: int, q, tol: float = 1e-10) -> DecompositionReport:
 
     One label per transpose pair of shapes (anchored at the shape with the
     larger rows, the first in enumeration order), two labels per
-    self-conjugate shape.  Verifies commutant dimension 1 per label, the
-    transpose-pair equivalences (the transpose witness's residual within
-    _residual_limit(tol) of the pair), the split of each self-conjugate
-    shape, the pairwise inequivalence of distinct labels, and
-    Σ dim² = n!/2.  The pair checks and the splits solve no Hom system.
+    self-conjugate shape.  Verifies, per anchor, the commutant dimension
+    of its restriction by the split route: 1, or 2 for a self-conjugate
+    shape.  Verifies the transpose-pair equivalences (the transpose
+    witness's residual within _residual_limit(tol) of the pair), the split
+    of each self-conjugate shape, and Σ dim² = n!/2.  No other Hom system
+    is solved.  A commutant of 2 that holds the projectors of a passing
+    split is C x C, so each half has commutant 1 and the two halves are
+    inequivalent; otherwise a half's commutant_dim is None.  Labels of
+    different transpose pairs are inequivalent because their shapes'
+    restrictions have Hom = 0 (see _split_hom).
     """
     if n < 3:
         raise ValueError("classify needs n >= 3")
@@ -431,44 +529,40 @@ def classify(n: int, q, tol: float = 1e-10) -> DecompositionReport:
     q_value = next(iter(restrictions.values())).source.q_value
 
     equivalences: list[list[str]] = []
-    # (shape, tag, record) per label: an anchor's restriction or a half
-    sides: list[tuple[str, str, RestrictedRep]] = []
+    labels: list[dict] = []
+    label_sides: dict[str, RestrictedRep] = {}
+    commutants: dict[str, int] = {}
     all_pass = True
+
+    def add_label(text: str, tag: str, side: RestrictedRep, cdim) -> None:
+        labels.append({"shape": text, "tag": tag,
+                       "dim": side.dim, "commutant_dim": cdim})
+        label_sides[_label_key(text, tag)] = side
 
     for shape in diagrams:
         if not shape.is_transpose_anchor:
             continue
         text = shape.text()
         r = restrictions[text]
+        cdim = commutants[text] = commutant_dimension(r)
         if shape.is_self_conjugate:
             *halves, split_report = split_self_conjugate(r, tol)
-            all_pass = all_pass and split_report["pass"]
+            simple = cdim == 2 and split_report["pass"]
+            all_pass = all_pass and simple
             for tag, basis in zip(("plus", "minus"), halves):
-                sides.append((text, tag, RestrictedRep(
+                add_label(text, tag, RestrictedRep(
                     None, tuple(basis.conj().T @ y @ basis
-                                for y in r.y_matrices))))
+                                for y in r.y_matrices)),
+                          1 if simple else None)
         else:
-            sides.append((text, "whole", r))
+            all_pass = all_pass and cdim == 1
+            add_label(text, "whole", r, cdim)
             partner = transpose(shape).text()
             r2 = restrictions[partner]
-            residual = _witness_residual(
+            residual = _permutation_residual(
                 *transpose_witness(r.source, r2.source), r, r2)
             all_pass = all_pass and residual <= _residual_limit(tol, r, r2)
             equivalences.append([text, partner])
-
-    labels: list[dict] = []
-    label_sides: dict[str, RestrictedRep] = {}
-    for text, tag, side in sides:
-        cdim = commutant_dimension(side)
-        labels.append({"shape": text, "tag": tag,
-                       "dim": side.dim, "commutant_dim": cdim})
-        label_sides[_label_key(text, tag)] = side
-        all_pass = all_pass and cdim == 1
-
-    # distinct labels must be pairwise inequivalent
-    for side1, side2 in itertools.combinations(label_sides.values(), 2):
-        if find_intertwiner(side1, side2, tol) is not None:
-            all_pass = False
 
     total = sum(label["dim"] ** 2 for label in labels)
     expected = math.factorial(n) // 2
@@ -478,7 +572,8 @@ def classify(n: int, q, tol: float = 1e-10) -> DecompositionReport:
     return DecompositionReport(n=n, q_value=q_value, labels=labels,
                                equivalences=equivalences, checks=checks,
                                label_sides=label_sides,
-                               restrictions=restrictions)
+                               restrictions=restrictions,
+                               commutants=commutants)
 
 
 # ---------------------------------------------------------------------------
@@ -488,23 +583,29 @@ def induction_multiplicities(label: str, n: int, q,
                              report: DecompositionReport | None = None) -> dict:
     """Multiplicity of one label inside the restriction of each V_mu.
 
-    label is a shape text, optionally tagged ("2,2:plus").  By reciprocity
-    the returned numbers are the multiplicities of each V_mu in the module
+    label is a shape text, optionally tagged ("2,2:plus").  The numbers
+    are read off the classification, with no solve: a whole label of λ is
+    Res V_λ ≅ Res V_^tλ, so it occurs once in those two and in no other
+    restriction (Hom = 0 between shapes of different transpose pairs); a
+    half of a self-conjugate λ occurs once in Res V_λ only.  By
+    reciprocity they are the multiplicities of each V_mu in the module
     induced from the label, so they must satisfy the index-2 dimension
-    identity sum(mult * dim V_mu) = 2 * dim(label).
+    identity sum(mult * dim V_mu) = 2 * dim(label).  The row passes when
+    that identity and the classification both pass.
     """
     if report is None:
         report = classify(n, q)
     if label not in report.label_sides:
         raise ValueError(f"unknown label {label!r}")
-    w = report.label_sides[label]
-    label_dim = next(entry["dim"] for entry in report.labels
-                     if _label_key(entry["shape"], entry["tag"]) == label)
+    shape, _, tag = label.partition(":")
+    label_dim = report.label_sides[label].dim
+    partners = {} if tag else dict(report.equivalences)
+    hosts = {shape, partners.get(shape, shape)}
 
     multiplicities = {}
     total = 0
     for text, r in report.restrictions.items():
-        mult = _hom(w, r).shape[0]
+        mult = int(text in hosts)
         multiplicities[text] = mult
         total += mult * r.dim
     induced = 2 * label_dim
@@ -516,7 +617,7 @@ def induction_multiplicities(label: str, n: int, q,
         "induced_dimension": induced,
         "dimension_identity": {"sum": total, "expected": induced,
                                "pass": total == induced},
-        "pass": total == induced,
+        "pass": total == induced and report.checks["pass"],
     }
 
 

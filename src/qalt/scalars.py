@@ -32,6 +32,7 @@ Fraction(-2, 1)
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -144,18 +145,40 @@ class RationalFunction:
     def evaluate(self, value):
         """Substitute a value for q.  Exact on Fraction input.
 
-        Raises ZeroDivisionError when the value is a pole, and
-        OverflowError when a float or complex result is not finite: the
-        powers of a large q overflow separately in the numerator and the
-        denominator, and inf / inf would be NaN.
+        Raises ZeroDivisionError when the value is a pole.  The powers of a
+        large float or complex q can overflow in the numerator and the
+        denominator alike, where inf / inf would be NaN; only then is the
+        value taken again in t = 1/q, with both divided by q^deg(den), and
+        OverflowError is raised when that result is not finite either.
         """
         dv = self.den.evaluate(value)
         if dv == 0:
             raise ZeroDivisionError(f"pole at q = {value}")
         result = self.num.evaluate(value) / dv
         if isinstance(result, (float, complex)) and not cmath.isfinite(result):
-            raise OverflowError(
-                f"{self} is not finite at q = {value}")
+            result = self._evaluate_in_inverse(value)
+            if not cmath.isfinite(result):
+                raise OverflowError(f"{self} is not finite at q = {value}")
+        return result
+
+    def _evaluate_in_inverse(self, value):
+        """num(q)/den(q) as q^(deg num - deg den) rev(num)(t) / rev(den)(t),
+        t = 1/q, where rev(p)(t) = t^deg(p) p(1/t); inf where the power of
+        q or the quotient leaves the float range."""
+        t = 1 / value
+        reversed_values = []
+        for poly in (self.num, self.den):
+            acc = 0 * t
+            for c in poly.coeffs:
+                acc = acc * t + float(c)
+            reversed_values.append(acc)
+        rn, rd = reversed_values
+        if rd == 0:
+            return math.inf
+        result = rn / rd
+        shift = self.num.degree - self.den.degree
+        for _ in range(abs(shift)):
+            result = result * value if shift > 0 else result * t
         return result
 
     def __str__(self) -> str:

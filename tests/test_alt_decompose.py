@@ -1,5 +1,6 @@
 """Tests for restriction to the even subalgebra and its classification."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -130,10 +131,13 @@ def test_commutant_of_direct_sum():
 
 
 def test_commutant_without_the_identity_is_indeterminate():
-    # near q = -1 the solve of 4,2,1's commutant returns no solution; the
-    # identity always commutes, so that is a failed solve, not a dimension
+    # near q = -1 the generic route's solve of 4,2,1's commutant returns no
+    # solution; the identity always commutes, so that is a failed solve,
+    # not a dimension.  The raw sequence carries no F_i, so it takes the
+    # generic route; the shape restriction itself takes the split route
     with pytest.raises(IndeterminateRankError):
-        commutant_dimension(restricted("4,2,1", -0.99))
+        commutant_dimension(restricted("4,2,1", -0.99).y_matrices)
+    assert commutant_dimension(restricted("4,2,1", -0.99)) == 1
 
 
 def test_commutant_refuses_ambiguous_spectrum():
@@ -152,15 +156,19 @@ def kron_hom_dimension(y1, y2):
     return system.shape[1] - numeric_rank(system)
 
 
-@pytest.mark.parametrize("q", SAMPLE_Q + (COMPLEX_Q,))
+@pytest.mark.parametrize("q", SAMPLE_Q + (COMPLEX_Q, -0.9, -0.99,
+                                           complex(0, 0.5), Fraction(1)))
 def test_hom_matches_kronecker_oracle(q):
+    # shape restrictions take the split route, their raw matrices the
+    # generic route; both must agree with the dense Kronecker system
     for n in (3, 4, 5):
-        reps = [restricted(shape.text(), q).y_matrices
-                for shape in enumerate_diagrams(n)]
-        for y1 in reps:
-            for y2 in reps:
-                assert (alt_decompose._hom(y1, y2).shape[0]
-                        == kron_hom_dimension(y1, y2))
+        reps = [restricted(shape.text(), q) for shape in enumerate_diagrams(n)]
+        for r1 in reps:
+            for r2 in reps:
+                y1, y2 = r1.y_matrices, r2.y_matrices
+                expected = kron_hom_dimension(y1, y2)
+                assert alt_decompose._hom(y1, y2).shape[0] == expected
+                assert alt_decompose._hom(r1, r2).shape[0] == expected
 
 
 def test_hom_counts_eigenvalues_equal_within_the_cutoff():
@@ -169,6 +177,19 @@ def test_hom_counts_eigenvalues_equal_within_the_cutoff():
     assert kron_hom_dimension(y1, y2) == 1
     assert alt_decompose._hom(y1, y2).shape[0] == 1
     assert alt_decompose._hom(y1, [np.diag([1.0 + 1e-6, 3.0])]).shape[0] == 0
+
+
+def test_split_route_rows_are_orthonormal_intertwiners():
+    for q in (Fraction(2), -0.99, COMPLEX_Q):
+        for a, b in (("3,1,1", "3,1,1"), ("3,2", "2,2,1"), ("4,1", "4,1")):
+            r1, r2 = restricted(a, q), restricted(b, q)
+            null = alt_decompose._hom(r1, r2)
+            assert sup_norm(null.conj() @ null.T - np.eye(len(null))) < 1e-12
+            for row in null:
+                x = row.reshape(r2.dim, r1.dim)
+                for y1, y2 in zip(r1.y_matrices, r2.y_matrices):
+                    assert sup_norm(y2 @ x - x @ y1) < 1e-10 * max(
+                        1.0, sup_norm(y1), sup_norm(y2))
 
 
 # pairwise inequivalent irreducible restrictions at n = 5, each listed with
@@ -496,6 +517,8 @@ def test_induction_table_builds_each_shape_once(monkeypatch):
 
 
 def test_each_hom_side_is_decomposed_once(monkeypatch):
+    # the generic route reuses a record's eigendecomposition: the two
+    # halves of 3,2,1, each in three solves, decompose two generic elements
     calls = []
     eig = np.linalg.eig
 
@@ -504,14 +527,51 @@ def test_each_hom_side_is_decomposed_once(monkeypatch):
         return eig(matrix)
 
     monkeypatch.setattr(alt_decompose.np.linalg, "eig", counting_eig)
-    assert classify(6, Fraction(2)).checks["pass"]
-    # one generic element per anchor that is not self-conjugate and one
-    # per half of 3,2,1: the transpose pairs and the split solve nothing
-    assert len(calls) == 5 + 2 == 7
-    calls.clear()
-    # induction adds the other shapes' restrictions, 3,2,1's included
-    assert induction_table(6, Fraction(2))["pass"]
-    assert len(calls) == len(enumerate_diagrams(6)) + 2 == 13
+    report = classify(6, Fraction(2))
+    assert calls == []
+    plus = report.label_sides["3,2,1:plus"]
+    minus = report.label_sides["3,2,1:minus"]
+    assert commutant_dimension(plus) == commutant_dimension(minus) == 1
+    assert find_intertwiner(plus, minus) is None
+    assert calls == [(8, 8), (8, 8)]
+
+
+@pytest.mark.parametrize("q", [Fraction(2), COMPLEX_Q])
+def test_classify_and_induce_need_no_eigendecomposition(monkeypatch, q):
+    def refuse(*args):
+        raise AssertionError("the generic route was taken")
+
+    monkeypatch.setattr(alt_decompose.RestrictedRep, "spectrum",
+                        property(refuse))
+    monkeypatch.setattr(alt_decompose, "_hom_scale", refuse)
+    assert classify(6, q).checks["pass"]
+    assert induction_table(6, q)["pass"]
+
+
+def test_a_zeroed_mixed_pair_fails_classify(monkeypatch):
+    # zeroing one mixed pair of f_2 (f_1 is diagonal) on 3,2,1 leaves
+    # matrices that are no longer a representation.  The -1 part of the
+    # split route pairs each entry with its transposed entry, which is
+    # still nonzero, so it loses its solution: the commutant is then not
+    # 2, the halves get no inferred commutant, and classify fails
+    def mutated(shape, q, form="f"):
+        rep = build_representation(shape, q, form)
+        if shape.text() != "3,2,1":
+            return rep
+        mats = list(rep.generator_matrices)
+        f2 = mats[1].copy()
+        k, l = next((k, l) for k, l in zip(*np.nonzero(f2)) if k != l)
+        f2[k, l] = f2[l, k] = 0
+        mats[1] = f2
+        return dataclasses.replace(rep, generator_matrices=tuple(mats))
+
+    monkeypatch.setattr(alt_decompose, "build_representation", mutated)
+    report = classify(6, Fraction(2))
+    assert report.commutants["3,2,1"] != 2
+    assert report.checks["pass"] is False
+    halves = [label for label in report.labels if label["shape"] == "3,2,1"]
+    assert [label["commutant_dim"] for label in halves] == [None, None]
+    assert induction_table(6, Fraction(2))["pass"] is False
 
 
 def test_generic_coefficients_are_drawn_once_and_read_only():

@@ -64,11 +64,22 @@ def test_rf_evaluate_pole():
 
 @pytest.mark.parametrize("q", [1e200, 1e200 + 1e200j])
 def test_rf_evaluate_refuses_a_result_that_is_not_finite(q):
-    # q^2 overflows in the numerator and the denominator alike, and the
-    # quotient would be inf / inf = nan
-    with pytest.raises(OverflowError, match="is not finite at q = "):
-        c_squared().evaluate(q)
+    # q^2 overflows in the numerator and the denominator of c^2 alike,
+    # where inf / inf would be nan; in 1/q the value is finite, about 1
+    assert abs(c_squared().evaluate(q) - 1) < 1e-15
     assert c_squared().evaluate(1e100) == 1.0
+    # q^3 really is out of range, and 1/q^3 underflows to zero
+    with pytest.raises(OverflowError, match="q\\^3 is not finite at q = "):
+        RationalFunction(poly(0, 0, 0, 1), poly(1)).evaluate(q)
+    assert RationalFunction(poly(1), poly(0, 0, 0, 1)).evaluate(q) == 0
+
+
+def test_rf_evaluate_in_inverse_q_matches_direct_horner():
+    # the fallback agrees with direct evaluation where both are finite
+    f = RationalFunction(poly(3, -1, 0, 2), poly(1, 2, 1))
+    for q in (1e3, -7.5, 2 + 3j, 1e20):
+        direct = f.evaluate(q)
+        assert abs(f._evaluate_in_inverse(q) - direct) <= 1e-14 * abs(direct)
 
 
 # -- q-integers --------------------------------------------------------------
