@@ -24,33 +24,21 @@ classification, and per-entry transpose-symmetry deviations of the
 restricted matrices are reported with signs (only absolute values are
 asserted; the off-diagonal signs depend on the square-root convention).
 
-Commutants are Hom(r, r): every solve here is one Hom-space system
-{X : X Y1_i = Y2_i X}, taken by one of two routes, neither of which forms
-the d1 d2-column Kronecker matrix.
-
-  - The split route, for two shape restrictions (RestrictedReps whose
-    source is set, at the same q).  A_n(q) has index 2 in H_n(q), and
-    X -> F1_μ X F1_λ is an involution of Hom_A(Res V_λ, Res V_μ) whose +1
-    part is Hom_H(V_λ, V_μ) and whose -1 part is Hom_H(V_λ, V_μ (x) sgn),
-    sgn: f -> -f (Clifford theory of an index-2 subalgebra).  On Young's
-    seminormal basis, the Jucys-Murphy eigenbasis (Ram 1997), an element
-    of the +1 part is diagonal and one of the -1 part is the transpose
-    permutation P times a diagonal.  So μ outside {λ, ^tλ} gives Hom = 0
-    with no system, since the two share no Jucys-Murphy content vector;
-    otherwise X F_i = F_i X is solved for diagonal X (μ = λ) and
-    X F_i = -F_i X for X = P diag(x) (μ = ^tλ), each a sparse system in
-    d unknowns, and each solution's residual against the Y_i is checked.
-  - The generic route, for raw matrix sequences and split halves, which
-    carry no F_i.  Any X in Hom also intertwines the generic elements
-    Z = sum r_i Y_i (fixed coefficients r) of both sides, so it lies in
-    the span of the rank-one matrices built from eigenvector pairs of Z2
-    and Z1 whose eigenvalues agree within a candidate band; the system is
-    then solved on an orthonormal basis of that span.  A RestrictedRep
-    computes its stacked generators, the eigendecomposition of its Z and
-    its generator norm bounds on first use and reuses them in every solve
-    it enters.  The band and the rank cutoff are both measured against a
-    reference scale: the largest singular value of the full system,
-    estimated by a fixed-seed power iteration.
+Commutants are Hom(r, r), and every Hom space {X : X Y1_i = Y2_i X} is
+solved for two shape restrictions (RestrictedReps whose source is set, at
+the same q and n) by the index-2 split, without forming the d1 d2-column
+Kronecker matrix.  A_n(q) has index 2 in H_n(q), and X -> F1_μ X F1_λ is
+an involution of Hom_A(Res V_λ, Res V_μ) whose +1 part is Hom_H(V_λ, V_μ)
+and whose -1 part is Hom_H(V_λ, V_μ (x) sgn), sgn: f -> -f (Clifford
+theory of an index-2 subalgebra).  On Young's seminormal basis, the
+Jucys-Murphy eigenbasis (Ram 1997), an element of the +1 part is diagonal
+and one of the -1 part is the transpose permutation P times a diagonal.
+So μ outside {λ, ^tλ} gives Hom = 0 with no system, since the two share
+no Jucys-Murphy content vector; otherwise X F_i = F_i X is solved for
+diagonal X (μ = λ) and X F_i = -F_i X for X = P diag(x) (μ = ^tλ), each a
+sparse system in d unknowns, and each solution's residual against the
+Y_i is checked.  Raw matrix sequences and split halves carry no F_i, and
+no Hom solve takes them.
 
 classify needs one split solve per transpose pair and none for the
 halves or for the pairwise inequivalences, and the induction
@@ -58,24 +46,21 @@ multiplicities are read off its report.  Every rank or nullity decision
 goes through hecke_rep.numeric_rank or hecke_rep.nullspace, whose
 singular-value threshold has an explicit gap guard: a spectrum without a
 clear gap raises IndeterminateRankError instead of guessing.  Residuals
-(of an intertwiner, of each split-route solution, of the transpose
-witness, and of the split halves' invariance) are tested against tol
-times the larger of 1 and the generators' largest norm bound, since
-their rounding error grows with the entries, which reach about 4e4 near
-q = -1.
+(of each split-route solution, of the transpose witness, and of the
+split halves' invariance) are tested against tol times the larger of 1
+and the generators' largest norm bound, since their rounding error grows
+with the entries, which reach about 4e4 near q = -1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
 from .hecke_rep import (
-    GAP_GUARD,
-    RANK_THRESHOLD,
     IndeterminateRankError,
     Representation,
     build_representation,
@@ -89,11 +74,9 @@ from .tableaux import YoungDiagram, enumerate_diagrams, transpose
 __all__ = [
     "IndeterminateRankError",
     "RestrictedRep",
-    "Intertwiner",
     "DecompositionReport",
     "restrict",
     "commutant_dimension",
-    "find_intertwiner",
     "split_self_conjugate",
     "classify",
     "induction_multiplicities",
@@ -108,12 +91,10 @@ class RestrictedRep:
     """Even-subalgebra generator matrices Y_i = F_1 F_{i+1} of one shape,
     or of one split half of a self-conjugate shape (then source is None).
 
-    The cached properties are the data of the Hom solves the record
-    enters, each computed on first use: the stacked Y_i and their
-    _norm_bounds for both routes, and for the generic route the
-    eigenvalues and eigenvectors of the generic element Z = sum r_i Y_i
-    and the inverse eigenvector matrix.  They live as long as the record:
-    nothing is cached across requests.
+    A shape restriction enters Hom solves: its stacked Y_i and their
+    norm_bounds are computed on first use and live as long as the record,
+    so nothing is cached across requests.  A half is a data record of
+    classify's label_sides; it carries no F_i, and no Hom solve takes it.
     """
 
     source: Representation | None
@@ -130,26 +111,8 @@ class RestrictedRep:
         return np.stack(self.y_matrices)
 
     @cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and eigenvectors of the generic element Z."""
-        return np.linalg.eig(np.tensordot(
-            _generic_coefficients(len(self.y_matrices)), self.stacked, axes=1))
-
-    @cached_property
-    def inverse_eigenvectors(self) -> np.ndarray:
-        return np.linalg.inv(self.spectrum[1])
-
-    @cached_property
     def norm_bounds(self) -> np.ndarray:
         return _norm_bounds(self.stacked)
-
-
-@dataclass(frozen=True)
-class Intertwiner:
-    """Nonzero X with X Y_i = Y'_i X for all generators, plus its residual."""
-
-    matrix: np.ndarray
-    residual: float
 
 
 def restrict(rep: Representation) -> RestrictedRep:
@@ -164,61 +127,10 @@ def restrict(rep: Representation) -> RestrictedRep:
 # ---------------------------------------------------------------------------
 # Hom spaces
 
-# Fixed seed of the generic element's coefficients and of the power
-# iteration's start vector, so that every solve is reproducible.
-_GENERIC_SEED = 1970
-# Pairs in the row or column of a kept pair are also kept within
-# _BAND_WIDENING times the band: the eigensolver's error in a kept pair's
-# eigenvectors lies mostly along them.  Without them, at q = -0.9, n = 5,
-# an intertwiner had residual 3e-9, above the 1e-10 tolerance; with them,
-# 2e-13.
-_BAND_WIDENING = 1e3
-
-
-def _apply_hom(a: np.ndarray, b: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """The Hom system X -> (B_i X - X A_i)_i applied to each column of basis."""
-    xs = basis.T.reshape(-1, b.shape[1], a.shape[1])
-    return np.stack([bi @ xs - xs @ ai for ai, bi in zip(a, b)],
-                    axis=1).reshape(len(xs), -1).T
-
-
-def _hom_scale(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest singular value of the Hom system, from a Krylov subspace.
-
-    Eight fixed-seed power steps of the normal operator span a subspace;
-    the largest singular value of the system on it never exceeds the true
-    one.  On the Hom systems of induction_table at n = 5 and q = 2, 0.3,
-    1+0.5i and -0.9 it fell short by a median of 5e-6 and at most 4e-2,
-    relative.
-    """
-    ah, bh = a.conj().transpose(0, 2, 1), b.conj().transpose(0, 2, 1)
-    x = np.random.default_rng(_GENERIC_SEED).standard_normal(
-        (b.shape[1], a.shape[1]))
-    steps = []
-    for _ in range(8):
-        x = x / np.linalg.norm(x)
-        steps.append(x.ravel())
-        kx = b @ x - x @ a
-        x = (bh @ kx - kx @ ah).sum(axis=0)
-        if not x.any():
-            break
-    basis = np.linalg.qr(np.stack(steps, axis=1))[0]
-    return float(np.linalg.svd(_apply_hom(a, b, basis), compute_uv=False)[0])
-
-
 def _norm_bounds(m: np.ndarray) -> np.ndarray:
     """sqrt(|M|_1 |M|_inf) for each stacked matrix, a bound of its |M|_2."""
     absm = np.abs(m)
     return np.sqrt(absm.sum(axis=1).max(axis=1) * absm.sum(axis=2).max(axis=1))
-
-
-@cache
-def _generic_coefficients(count: int) -> np.ndarray:
-    """The fixed coefficients r_i of the generic element Z = sum r_i Y_i,
-    drawn once per generator count and returned read-only."""
-    coefficients = np.random.default_rng(_GENERIC_SEED).standard_normal(count)
-    coefficients.setflags(write=False)
-    return coefficients
 
 
 def _residual_limit(tol: float, *sides: RestrictedRep) -> float:
@@ -230,32 +142,36 @@ def _residual_limit(tol: float, *sides: RestrictedRep) -> float:
     return tol * max(1.0, *(float(side.norm_bounds.max()) for side in sides))
 
 
-def _side(r) -> RestrictedRep | None:
-    """r itself, or a record wrapping r if it is a raw matrix sequence;
-    None when there are no generators (n = 2)."""
+def _shape_restriction(r) -> RestrictedRep:
+    """r itself if it is the restriction of a shape; ValueError otherwise."""
     if not isinstance(r, RestrictedRep):
-        r = RestrictedRep(None, tuple(r))
-    return r if r.y_matrices else None
+        raise ValueError("a Hom solve takes shape restrictions, not raw "
+                         "matrix sequences")
+    if r.source is None:
+        raise ValueError("a split half carries no F_i, so no Hom solve "
+                         "takes it")
+    return r
 
 
-def _hom(r1, r2) -> np.ndarray:
+def _hom(r1, r2, tol: float = 1e-10) -> np.ndarray:
     """Orthonormal basis rows of {X : X Y1_i = Y2_i X}, X of size
-    dim2 x dim1, flattened.
+    dim2 x dim1, flattened, by the split route (_split_hom).
 
-    r1 and r2 are anything _side accepts.  Two shape restrictions at the
-    same q take the split route (_split_hom); every other pair the
-    generic route (_generic_hom), where passing a RestrictedRep reuses
-    its eigendecomposition.
+    r1 and r2 must be shape restrictions at the same q and the same n;
+    anything else raises ValueError.
     """
-    side1, side2 = _side(r1), _side(r2)
-    if side1 is None or side2 is None:
+    rep1 = _shape_restriction(r1).source
+    rep2 = _shape_restriction(r2).source
+    if rep1.n != rep2.n:
+        raise ValueError(f"the restrictions have different n "
+                         f"({rep1.n} and {rep2.n})")
+    if rep1.q_value != rep2.q_value:
+        raise ValueError(f"the restrictions have different q "
+                         f"({q_to_text(rep1.q_value)} and "
+                         f"{q_to_text(rep2.q_value)})")
+    if not r1.y_matrices:
         raise ValueError("no generators to intertwine (n = 2)")
-    if len(side1.y_matrices) != len(side2.y_matrices):
-        raise ValueError("generator counts differ (mixed n)")
-    if (side1.source is not None and side2.source is not None
-            and side1.source.q_value == side2.source.q_value):
-        return _split_hom(side1, side2)
-    return _generic_hom(side1, side2)
+    return _split_hom(r1, r2, tol)
 
 
 def _split_system(f1, f2, index: np.ndarray, sign: int) -> np.ndarray:
@@ -280,7 +196,7 @@ def _split_system(f1, f2, index: np.ndarray, sign: int) -> np.ndarray:
 
 
 def _split_hom(side1: RestrictedRep, side2: RestrictedRep,
-               tol: float = 1e-10) -> np.ndarray:
+               tol: float) -> np.ndarray:
     """_hom for two shape restrictions, by the index-2 split.
 
     The +1 part (shape2 = shape1) is solved on diagonal X and the -1 part
@@ -318,99 +234,25 @@ def _split_hom(side1: RestrictedRep, side2: RestrictedRep,
     return np.array(rows)
 
 
-def _generic_hom(side1: RestrictedRep, side2: RestrictedRep) -> np.ndarray:
-    """_hom by the generic element, for sides that carry no F_i.
-
-    Every X in the Hom space also intertwines the generic elements
-    Z1 = sum r_i Y1_i and Z2 = sum r_i Y2_i, so it lies in the span of the
-    rank-one matrices p2_k (x) p1inv_l over eigenvalue pairs b_k = a_l of
-    Z2 and Z1, read from the two sides' records.  Pairs are kept within a
-    band wide enough for a singular value that could reach the gap guard,
-    and their neighbours within a wider one; the Hom system is then
-    solved on an orthonormal basis of that span (real for real input),
-    with the rank cut against the scale of the full system.
-    """
-    a, b = side1.stacked, side2.stacked
-    d1, d2 = a.shape[1], b.shape[1]
-    gaps = np.abs(side2.spectrum[0][:, None] - side1.spectrum[0][None, :])
-    width = (np.abs(_generic_coefficients(len(a))).sum()
-             * GAP_GUARD * RANK_THRESHOLD)
-    # the power iteration is skipped when no pair lies within the band of
-    # an upper bound of the scale: then none lies within the true band
-    bound = float(np.linalg.norm(side1.norm_bounds + side2.norm_bounds))
-    scale = 0.0
-    if np.any(gaps <= width * bound):
-        scale = _hom_scale(a, b)
-        if scale <= RANK_THRESHOLD * bound:
-            # a system below the cutoff of its inputs' size is zero to
-            # working precision (scalar generators up to rounding, where it
-            # may round to exactly zero): every X solves it
-            scale = bound
-    near = gaps <= width * scale
-    neighbours = near.any(axis=1)[:, None] | near.any(axis=0)
-    ks, ls = np.nonzero(near | ((gaps <= _BAND_WIDENING * width * scale)
-                                & neighbours))
-    size = ks.size
-    if size == 0:
-        return np.zeros((0, d2 * d1), dtype=np.result_type(a, b))
-    span = (side2.spectrum[1][:, None, ks]
-            * side1.inverse_eigenvectors[ls].T[None]).reshape(-1, size)
-    if np.isrealobj(a) and np.isrealobj(b):
-        # the kept pairs are closed under conjugation, so the span has a
-        # real orthonormal basis of the same dimension; solving on it
-        # rather than on a complex one takes classify(8, 2) from 6.0 s and
-        # 515 MB down to 3.3 s and 330 MB (one BLAS thread)
-        span = np.hstack([span.real, span.imag])
-        basis = np.linalg.svd(span, full_matrices=False)[0][:, :size]
-    else:
-        basis = np.linalg.qr(span)[0]
-    return nullspace(_apply_hom(a, b, basis), scale) @ basis.T
-
-
-def commutant_dimension(r) -> int:
+def commutant_dimension(r, tol: float = 1e-10) -> int:
     """Dimension of {X : X commutes with every generator matrix}.
 
-    Accepts a RestrictedRep or a raw sequence of square
-    matrices (so a direct sum can be tested by passing block-diagonal
-    matrices): 1 means irreducible; a direct sum of two irreducibles gives
-    2 + (1 if they are equivalent).  A shape restriction takes the split
-    route of _hom, anything else the generic route.  Without generators
-    (n = 2, where every representation is one-dimensional) the answer is
-    1.  A solve that returns no solution at all has lost the identity,
-    which always commutes, and raises IndeterminateRankError.
+    r must be a shape restriction; raw matrix sequences and split halves
+    raise ValueError.  1 means irreducible, and a self-conjugate shape
+    gives 2.  The solve is _hom(r, r, tol), so a solution whose residual
+    exceeds _residual_limit(tol) raises IndeterminateRankError.  Without
+    generators (n = 2, where every representation is one-dimensional) the
+    answer is 1.  A solve that returns no solution at all has lost the
+    identity, which always commutes, and raises IndeterminateRankError.
     """
-    side = _side(r)
-    if side is None:
+    if not _shape_restriction(r).y_matrices:
         return 1
-    dim = _hom(side, side).shape[0]
+    dim = _hom(r, r, tol).shape[0]
     if dim == 0:
         raise IndeterminateRankError(
-            f"the commutant solve of a dimension-{side.dim} restriction "
+            f"the commutant solve of a dimension-{r.dim} restriction "
             f"found no solution, not even the identity")
     return dim
-
-
-def find_intertwiner(r1, r2, tol: float = 1e-10):
-    """A nonzero intertwiner from r1 to r2, or None if none exists.
-
-    The intertwiner X is normalized to Frobenius norm 1, and its residual
-    max_i |Y2_i X - X Y1_i| must not exceed _residual_limit(tol) of the
-    two sides.
-    """
-    side1, side2 = _side(r1), _side(r2)
-    null = _hom(side1, side2)
-    if null.shape[0] == 0:
-        return None
-    a, b = side1.stacked, side2.stacked
-    x = null[0].reshape(b.shape[1], a.shape[1])
-    x = x / np.linalg.norm(x)
-    residual = max(sup_norm(bi @ x - x @ ai) for ai, bi in zip(a, b))
-    limit = _residual_limit(tol, side1, side2)
-    if residual > limit:
-        raise IndeterminateRankError(
-            f"intertwiner residual {residual:.3e} exceeds tolerance "
-            f"{limit:.1e} ({tol:.1e} times the generators' norm bound)")
-    return Intertwiner(x, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +354,8 @@ def classify(n: int, q, tol: float = 1e-10) -> DecompositionReport:
     larger rows, the first in enumeration order), two labels per
     self-conjugate shape.  Verifies, per anchor, the commutant dimension
     of its restriction by the split route: 1, or 2 for a self-conjugate
-    shape.  Verifies the transpose-pair equivalences (the transpose
+    shape (a solution with residual above _residual_limit(tol) raises
+    IndeterminateRankError).  Verifies the transpose-pair equivalences (the transpose
     witness's residual within _residual_limit(tol) of the pair), the split
     of each self-conjugate shape, and Σ dim² = n!/2.  No other Hom system
     is solved.  A commutant of 2 that holds the projectors of a passing
@@ -544,7 +387,7 @@ def classify(n: int, q, tol: float = 1e-10) -> DecompositionReport:
             continue
         text = shape.text()
         r = restrictions[text]
-        cdim = commutants[text] = commutant_dimension(r)
+        cdim = commutants[text] = commutant_dimension(r, tol)
         if shape.is_self_conjugate:
             *halves, split_report = split_self_conjugate(r, tol)
             simple = cdim == 2 and split_report["pass"]

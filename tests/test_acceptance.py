@@ -25,7 +25,6 @@ from qalt.hecke_rep import (
 from qalt.alt_decompose import (
     classify,
     commutant_dimension,
-    find_intertwiner,
     induction_table,
     n3_spectrum_report,
     restrict,

@@ -112,6 +112,17 @@ def test_verify_failure_exits_two(capsys):
     assert json.loads(out)["pass"] is False
 
 
+def test_classify_tol_reaches_the_split_route(capsys):
+    # at -0.99 a split-route solution has residual 9.1e-12, above the
+    # 5.9e-12 that --tol 1.5e-16 allows for generators of norm bound 4e4
+    code, out, err = run(capsys, "classify", "--n", "6", "--q", "-0.99",
+                         "--tol", "1.5e-16")
+    assert (code, out) == (3, "")
+    assert "split-route solution" in err
+    code, _, _ = run(capsys, "classify", "--n", "6", "--q", "-0.99")
+    assert code == 0
+
+
 def test_induce_table(capsys):
     code, out, _ = run(capsys, "induce", "--n", "3", "--q", "2")
     data = json.loads(out)
@@ -216,9 +227,9 @@ def test_seminormal_overflow_names_q_and_n(capsys):
 @pytest.mark.parametrize("q", ["-0.99", "-1.01"])
 @pytest.mark.parametrize("command", ["classify", "induce"])
 def test_n7_near_minus_one_passes(capsys, command, q):
-    # the generic route once lost the identity from the commutant of 4,2,1
-    # here (exit 3); the split route decides it, and the output is the
-    # q = 2 output apart from "q"
+    # entries reach about 4e4 here, and the commutant of 4,2,1 is where a
+    # solve can lose the identity (exit 3); the split route keeps it, and
+    # the output is the q = 2 output apart from "q"
     def without_q(obj):
         if isinstance(obj, dict):
             return {k: without_q(v) for k, v in obj.items() if k != "q"}
