@@ -189,6 +189,28 @@ def test_split_route_rows_are_orthonormal_intertwiners():
                         1.0, sup_norm(y1), sup_norm(y2))
 
 
+def test_hom_basis_is_orthonormal_and_real_for_real_input():
+    pairs = [(restricted("3,1"), restricted("2,1,1")),
+             (restricted("2,2"), restricted("2,2")),
+             (restricted("3,2", 0.3), restricted("2,2,1", 0.3))]
+    for r1, r2 in pairs:
+        null = alt_decompose._hom(r1, r2)
+        assert null.shape[0] >= 1
+        assert np.isrealobj(null)
+        assert sup_norm(null @ null.T - np.eye(null.shape[0])) < 1e-12
+        for row in null:
+            x = row.reshape(r2.dim, r1.dim)
+            for a, b in zip(r1.y_matrices, r2.y_matrices):
+                assert sup_norm(b @ x - x @ a) < 1e-12
+    r1, r2 = restricted("3,2", COMPLEX_Q), restricted("2,2,1", COMPLEX_Q)
+    null = alt_decompose._hom(r1, r2)
+    assert null.shape[0] == 1
+    assert sup_norm(null @ null.conj().T - np.eye(1)) < 1e-12
+    x = null[0].reshape(r2.dim, r1.dim)
+    for a, b in zip(r1.y_matrices, r2.y_matrices):
+        assert sup_norm(b @ x - x @ a) < 1e-12
+
+
 # -- intertwiners -------------------------------------------------------------------
 
 def test_intertwiner_between_transpose_pair():
@@ -289,6 +311,37 @@ def test_split_pieces_inequivalent():
         assert kron_hom_dimension(plus, plus) == 1
         assert kron_hom_dimension(minus, minus) == 1
         assert kron_hom_dimension(plus, minus) == 0
+
+
+def test_each_hom_side_is_decomposed_once(monkeypatch):
+    # classify makes no eigendecomposition, and a side's generator norm
+    # bounds are computed once however many solves it takes part in
+    eig_calls, bound_calls = [], []
+    eig, bounds = np.linalg.eig, alt_decompose._norm_bounds
+
+    def counting_eig(matrix):
+        eig_calls.append(matrix.shape)
+        return eig(matrix)
+
+    def counting_bounds(m):
+        bound_calls.append(m.shape)
+        return bounds(m)
+
+    monkeypatch.setattr(alt_decompose.np.linalg, "eig", counting_eig)
+    report = classify(6, Fraction(2))
+    assert eig_calls == []
+    plus = report.label_sides["3,2,1:plus"].y_matrices
+    minus = report.label_sides["3,2,1:minus"].y_matrices
+    assert kron_hom_dimension(plus, plus) == kron_hom_dimension(minus, minus) == 1
+    assert kron_hom_dimension(plus, minus) == 0
+    monkeypatch.setattr(alt_decompose, "_norm_bounds", counting_bounds)
+    r, other = restricted("3,2,1"), restricted("4,1,1")
+    for _ in range(3):
+        assert commutant_dimension(r) == 2
+        assert alt_decompose._hom(other, other).shape[0] == 1
+    assert alt_decompose._hom(r, other).shape[0] == 0
+    assert bound_calls == [(4, 16, 16), (4, 10, 10)]
+    assert eig_calls == []
 
 
 def test_split_rejects_non_self_conjugate():
