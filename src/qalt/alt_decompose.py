@@ -24,29 +24,28 @@ classification, and per-entry transpose-symmetry deviations of the
 restricted matrices are reported with signs (only absolute values are
 asserted; the off-diagonal signs depend on the square-root convention).
 
-Commutants are Hom(r, r), and every Hom space {X : X Y1_i = Y2_i X} is
-solved for two shape restrictions (RestrictedReps whose source is set, at
-the same q and n) by the index-2 split, without forming the d1 d2-column
-Kronecker matrix.  A_n(q) has index 2 in H_n(q), and X -> F1_μ X F1_λ is
-an involution of Hom_A(Res V_λ, Res V_μ) whose +1 part is Hom_H(V_λ, V_μ)
-and whose -1 part is Hom_H(V_λ, V_μ (x) sgn), sgn: f -> -f (Clifford
-theory of an index-2 subalgebra).  On Young's seminormal basis, the
-Jucys-Murphy eigenbasis (Ram 1997), an element of the +1 part is diagonal
-and one of the -1 part is the transpose permutation P times a diagonal.
-So μ outside {λ, ^tλ} gives Hom = 0 with no system, since the two share
-no Jucys-Murphy content vector; otherwise X F_i = F_i X is solved for
-diagonal X (μ = λ) and X F_i = -F_i X for X = P diag(x) (μ = ^tλ), each a
-sparse system in d unknowns, and each solution's residual against the
-Y_i is checked.  Raw matrix sequences and split halves carry no F_i, and
-no Hom solve takes them.
+The commutant of a shape restriction is the one system solved here, by
+the index-2 split and without forming the d^2-column Kronecker matrix.
+A_n(q) has index 2 in H_n(q), and X -> F1_μ X F1_λ (F1_λ the matrix of
+f_1 on V_λ) is an involution of Hom_A(Res V_λ, Res V_μ) whose +1 part is
+Hom_H(V_λ, V_μ) and whose -1 part is Hom_H(V_λ, V_μ (x) sgn),
+sgn: f -> -f (Clifford theory of an index-2 subalgebra).  So Hom = 0
+unless μ is λ or ^tλ: restrictions of shapes of different transpose
+pairs, and the labels they carry, are inequivalent.  On Young's
+seminormal basis, the Jucys-Murphy eigenbasis (Ram 1997), an element of
+the +1 part is diagonal and one of the -1 part is the transpose
+permutation P times a diagonal.  For μ = λ, _commutant solves
+X F_i = F_i X for diagonal X and, when λ is self-conjugate,
+X F_i = -F_i X for X = P diag(x), each a sparse system in d unknowns,
+and checks each solution's residual against the Y_i.
 
-classify needs one split solve per transpose pair and none for the
+classify needs one commutant solve per transpose pair and none for the
 halves or for the pairwise inequivalences, and the induction
 multiplicities are read off its report.  Every rank or nullity decision
 goes through hecke_rep.numeric_rank or hecke_rep.nullspace, whose
 singular-value threshold has an explicit gap guard: a spectrum without a
 clear gap raises IndeterminateRankError instead of guessing.  Residuals
-(of each split-route solution, of the transpose witness, and of the
+(of each commutant solution, of the transpose witness, and of the
 split halves' invariance) are tested against tol times the larger of 1
 and the generators' largest norm bound, since their rounding error grows
 with the entries, which reach about 4e4 near q = -1.
@@ -88,22 +87,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RestrictedRep:
-    """Even-subalgebra generator matrices Y_i = F_1 F_{i+1} of one shape,
-    or of one split half of a self-conjugate shape (then source is None).
+    """Even-subalgebra generator matrices Y_i = F_1 F_{i+1} of one shape.
 
-    A shape restriction enters Hom solves: its stacked Y_i and their
-    norm_bounds are computed on first use and live as long as the record,
-    so nothing is cached across requests.  A half is a data record of
-    classify's label_sides; it carries no F_i, and no Hom solve takes it.
+    source is the shape's f-form representation, whose F_i the commutant
+    solve works on.  The stacked Y_i and their norm_bounds are computed on
+    first use and live as long as the record, so nothing is cached across
+    requests.
     """
 
-    source: Representation | None
+    source: Representation
     y_matrices: tuple[np.ndarray, ...]
 
     @property
     def dim(self) -> int:
-        if self.source is None:
-            return len(self.y_matrices[0])
         return self.source.dim
 
     @cached_property
@@ -125,7 +121,7 @@ def restrict(rep: Representation) -> RestrictedRep:
 
 
 # ---------------------------------------------------------------------------
-# Hom spaces
+# the commutant solve
 
 def _norm_bounds(m: np.ndarray) -> np.ndarray:
     """sqrt(|M|_1 |M|_inf) for each stacked matrix, a bound of its |M|_2."""
@@ -142,112 +138,76 @@ def _residual_limit(tol: float, *sides: RestrictedRep) -> float:
     return tol * max(1.0, *(float(side.norm_bounds.max()) for side in sides))
 
 
-def _shape_restriction(r) -> RestrictedRep:
-    """r itself if it is the restriction of a shape; ValueError otherwise."""
-    if not isinstance(r, RestrictedRep):
-        raise ValueError("a Hom solve takes shape restrictions, not raw "
-                         "matrix sequences")
-    if r.source is None:
-        raise ValueError("a split half carries no F_i, so no Hom solve "
-                         "takes it")
-    return r
-
-
-def _hom(r1, r2, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis rows of {X : X Y1_i = Y2_i X}, X of size
-    dim2 x dim1, flattened, by the split route (_split_hom).
-
-    r1 and r2 must be shape restrictions at the same q and the same n;
-    anything else raises ValueError.
-    """
-    rep1 = _shape_restriction(r1).source
-    rep2 = _shape_restriction(r2).source
-    if rep1.n != rep2.n:
-        raise ValueError(f"the restrictions have different n "
-                         f"({rep1.n} and {rep2.n})")
-    if rep1.q_value != rep2.q_value:
-        raise ValueError(f"the restrictions have different q "
-                         f"({q_to_text(rep1.q_value)} and "
-                         f"{q_to_text(rep2.q_value)})")
-    if not r1.y_matrices:
-        raise ValueError("no generators to intertwine (n = 2)")
-    return _split_hom(r1, r2, tol)
-
-
-def _split_system(f1, f2, index: np.ndarray, sign: int) -> np.ndarray:
-    """The system X F1_i = sign F2_i X in the unknowns x of X = P diag(x),
+def _split_system(f, index: np.ndarray, sign: int) -> np.ndarray:
+    """The system X F_i = sign F_i X in the unknowns x of X = P diag(x),
     P the permutation with P[index[k], k] = 1.
 
     Entry (index[k], l) of the equation reads
-    F1_i[k, l] x_k - sign F2_i[index[k], index[l]] x_l = 0; there is one
+    F_i[k, l] x_k - sign F_i[index[k], index[l]] x_l = 0; there is one
     row for each (i, k, l) where either matrix has a nonzero entry, so a
     row has at most two nonzeros and the rows number at most 2(n-1)d.
     """
     blocks = []
-    for a, b in zip(f1, f2):
-        b = b[np.ix_(index, index)]
+    for a in f:
+        b = a[np.ix_(index, index)]
         ks, ls = np.nonzero((a != 0) | (b != 0))
         rows = np.arange(ks.size)
-        block = np.zeros((ks.size, len(a)), dtype=np.result_type(a, b))
+        block = np.zeros((ks.size, len(a)), dtype=a.dtype)
         block[rows, ks] = a[ks, ls]
         block[rows, ls] -= sign * b[ks, ls]
         blocks.append(block)
     return np.vstack(blocks)
 
 
-def _split_hom(side1: RestrictedRep, side2: RestrictedRep,
-               tol: float) -> np.ndarray:
-    """_hom for two shape restrictions, by the index-2 split.
+def _commutant(r: RestrictedRep, tol: float) -> np.ndarray:
+    """Orthonormal basis rows of {X : X Y_i = Y_i X}, X flattened, by the
+    index-2 split.
 
-    The +1 part (shape2 = shape1) is solved on diagonal X and the -1 part
-    (shape2 the transpose of shape1) on X = P diag(x), P the transpose
-    permutation of hecke_rep.transpose_witness; any other pair of shapes
-    has Hom = 0 and forms no system.  The two parts have disjoint
-    supports, so the rows are orthonormal.  A solution whose residual
-    max_i |Y2_i X - X Y1_i| exceeds _residual_limit(tol) of the two sides
-    raises IndeterminateRankError.
+    The +1 part is solved on diagonal X and, for a self-conjugate shape,
+    the -1 part on X = P diag(x), P the transpose permutation of
+    hecke_rep.transpose_witness.  No tableau is its own transpose, so the
+    two parts have disjoint supports and the rows are orthonormal.  A
+    solution whose residual max_i |Y_i X - X Y_i| exceeds
+    _residual_limit(tol) raises IndeterminateRankError.
     """
-    rep1, rep2 = side1.source, side2.source
-    parts = []
-    if rep2.shape == rep1.shape:
-        parts.append((np.arange(rep1.dim), 1))
-    if rep2.shape == transpose(rep1.shape):
-        parts.append((transpose_witness(rep1, rep2)[0], -1))
+    rep = r.source
+    parts = [(np.arange(rep.dim), 1)]
+    if rep.shape.is_self_conjugate:
+        parts.append((transpose_witness(rep, rep)[0], -1))
+    limit = _residual_limit(tol, r)
     rows = []
     for index, sign in parts:
-        system = _split_system(rep1.generator_matrices,
-                               rep2.generator_matrices, index, sign)
+        system = _split_system(rep.generator_matrices, index, sign)
         for x in nullspace(system):
-            residual = _permutation_residual(index, x, side1, side2)
-            limit = _residual_limit(tol, side1, side2)
+            residual = _permutation_residual(index, x, r, r)
             if not residual <= limit:
                 raise IndeterminateRankError(
-                    f"a split-route solution from {rep1.shape.text()} to "
-                    f"{rep2.shape.text()} has residual {residual:.3e}, "
-                    f"above the tolerance {limit:.1e}")
-            x_matrix = np.zeros((rep2.dim, rep1.dim), dtype=x.dtype)
-            x_matrix[index, np.arange(rep1.dim)] = x
+                    f"a split-route solution in the commutant of "
+                    f"{rep.shape.text()} has residual {residual:.3e}, above "
+                    f"the tolerance {limit:.1e}")
+            x_matrix = np.zeros((rep.dim, rep.dim), dtype=x.dtype)
+            x_matrix[index, np.arange(rep.dim)] = x
             rows.append(x_matrix.ravel())
-    if not rows:
-        return np.zeros((0, rep2.dim * rep1.dim), dtype=np.result_type(
-            side1.y_matrices[0], side2.y_matrices[0]))
-    return np.array(rows)
+    return np.array(rows).reshape(len(rows), rep.dim ** 2)
 
 
 def commutant_dimension(r, tol: float = 1e-10) -> int:
     """Dimension of {X : X commutes with every generator matrix}.
 
-    r must be a shape restriction; raw matrix sequences and split halves
-    raise ValueError.  1 means irreducible, and a self-conjugate shape
-    gives 2.  The solve is _hom(r, r, tol), so a solution whose residual
-    exceeds _residual_limit(tol) raises IndeterminateRankError.  Without
+    r must be a shape restriction; anything else raises ValueError.  1
+    means irreducible, and a self-conjugate shape gives 2.  The solve is
+    _commutant(r, tol), so a solution whose residual exceeds
+    _residual_limit(tol) raises IndeterminateRankError.  Without
     generators (n = 2, where every representation is one-dimensional) the
     answer is 1.  A solve that returns no solution at all has lost the
     identity, which always commutes, and raises IndeterminateRankError.
     """
-    if not _shape_restriction(r).y_matrices:
+    if not isinstance(r, RestrictedRep):
+        raise ValueError("a commutant solve takes shape restrictions, not "
+                         "raw matrix sequences")
+    if not r.y_matrices:
         return 1
-    dim = _hom(r, r, tol).shape[0]
+    dim = len(_commutant(r, tol))
     if dim == 0:
         raise IndeterminateRankError(
             f"the commutant solve of a dimension-{r.dim} restriction "
@@ -261,7 +221,7 @@ def commutant_dimension(r, tol: float = 1e-10) -> int:
 def _permutation_residual(index: np.ndarray, x: np.ndarray,
                           r1: RestrictedRep, r2: RestrictedRep) -> float:
     """max_i |Y2_i X - X Y1_i| for X = P diag(x), P[index[k], k] = 1,
-    without forming X: the transpose witness, or a split-route solution."""
+    without forming X: the transpose witness, or a commutant solution."""
     a, b = r1.stacked, r2.stacked
     xa = np.empty(a.shape, dtype=np.result_type(a, b, x))
     xa[:, index] = x[:, None] * a
@@ -326,12 +286,8 @@ class DecompositionReport:
     labels: list[dict]
     equivalences: list[list[str]]
     checks: dict
-    # one record per label: a whole label's restriction or a split half
-    label_sides: dict[str, RestrictedRep] = field(default_factory=dict)
+    # the restriction of every shape, keyed by its text
     restrictions: dict[str, RestrictedRep] = field(default_factory=dict)
-    # the commutant dimension of each anchor's restriction, by the split
-    # route: 1, or 2 for a self-conjugate shape
-    commutants: dict[str, int] = field(default_factory=dict)
 
     def to_jsonable(self) -> dict:
         return {
@@ -353,16 +309,17 @@ def classify(n: int, q, tol: float = 1e-10) -> DecompositionReport:
     One label per transpose pair of shapes (anchored at the shape with the
     larger rows, the first in enumeration order), two labels per
     self-conjugate shape.  Verifies, per anchor, the commutant dimension
-    of its restriction by the split route: 1, or 2 for a self-conjugate
-    shape (a solution with residual above _residual_limit(tol) raises
+    of its restriction: 1, or 2 for a self-conjugate shape (a solution
+    with residual above _residual_limit(tol) raises
     IndeterminateRankError).  Verifies the transpose-pair equivalences (the transpose
     witness's residual within _residual_limit(tol) of the pair), the split
-    of each self-conjugate shape, and Σ dim² = n!/2.  No other Hom system
-    is solved.  A commutant of 2 that holds the projectors of a passing
+    of each self-conjugate shape, and Σ dim² = n!/2.  No other system is
+    solved.  A commutant of 2 that holds the projectors of a passing
     split is C x C, so each half has commutant 1 and the two halves are
-    inequivalent; otherwise a half's commutant_dim is None.  Labels of
-    different transpose pairs are inequivalent because their shapes'
-    restrictions have Hom = 0 (see _split_hom).
+    inequivalent; otherwise a half's commutant_dim is None.  A half
+    label's dim is its split_dims entry.  Labels of different transpose
+    pairs are inequivalent because their shapes' restrictions have
+    Hom = 0 (see the module docstring).
     """
     if n < 3:
         raise ValueError("classify needs n >= 3")
@@ -373,33 +330,28 @@ def classify(n: int, q, tol: float = 1e-10) -> DecompositionReport:
 
     equivalences: list[list[str]] = []
     labels: list[dict] = []
-    label_sides: dict[str, RestrictedRep] = {}
-    commutants: dict[str, int] = {}
     all_pass = True
 
-    def add_label(text: str, tag: str, side: RestrictedRep, cdim) -> None:
+    def add_label(text: str, tag: str, dim: int, cdim) -> None:
         labels.append({"shape": text, "tag": tag,
-                       "dim": side.dim, "commutant_dim": cdim})
-        label_sides[_label_key(text, tag)] = side
+                       "dim": dim, "commutant_dim": cdim})
 
     for shape in diagrams:
         if not shape.is_transpose_anchor:
             continue
         text = shape.text()
         r = restrictions[text]
-        cdim = commutants[text] = commutant_dimension(r, tol)
+        cdim = commutant_dimension(r, tol)
         if shape.is_self_conjugate:
-            *halves, split_report = split_self_conjugate(r, tol)
+            split_report = split_self_conjugate(r, tol)[2]
             simple = cdim == 2 and split_report["pass"]
             all_pass = all_pass and simple
-            for tag, basis in zip(("plus", "minus"), halves):
-                add_label(text, tag, RestrictedRep(
-                    None, tuple(basis.conj().T @ y @ basis
-                                for y in r.y_matrices)),
-                          1 if simple else None)
+            for tag, dim in zip(("plus", "minus"),
+                                split_report["split_dims"]):
+                add_label(text, tag, dim, 1 if simple else None)
         else:
             all_pass = all_pass and cdim == 1
-            add_label(text, "whole", r, cdim)
+            add_label(text, "whole", r.dim, cdim)
             partner = transpose(shape).text()
             r2 = restrictions[partner]
             residual = _permutation_residual(
@@ -414,9 +366,7 @@ def classify(n: int, q, tol: float = 1e-10) -> DecompositionReport:
 
     return DecompositionReport(n=n, q_value=q_value, labels=labels,
                                equivalences=equivalences, checks=checks,
-                               label_sides=label_sides,
-                               restrictions=restrictions,
-                               commutants=commutants)
+                               restrictions=restrictions)
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +388,12 @@ def induction_multiplicities(label: str, n: int, q,
     """
     if report is None:
         report = classify(n, q)
-    if label not in report.label_sides:
+    label_dims = {_label_key(entry["shape"], entry["tag"]): entry["dim"]
+                  for entry in report.labels}
+    if label not in label_dims:
         raise ValueError(f"unknown label {label!r}")
     shape, _, tag = label.partition(":")
-    label_dim = report.label_sides[label].dim
+    label_dim = label_dims[label]
     partners = {} if tag else dict(report.equivalences)
     hosts = {shape, partners.get(shape, shape)}
 

@@ -85,17 +85,14 @@ def sup_norm(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix)))
 
 
-def _guarded_rank(svals: np.ndarray, scale: float | None = None) -> int:
-    """Number of singular values above RANK_THRESHOLD * scale.
+def _guarded_rank(svals: np.ndarray) -> int:
+    """Number of singular values above RANK_THRESHOLD * sigma_max.
 
-    scale defaults to sigma_max of svals; a caller that has reduced a
-    system to a subspace passes the largest singular value of the full
-    system instead.  Raises IndeterminateRankError when the smallest kept
-    and the largest dropped value are less than GAP_GUARD apart.
+    svals is in descending order.  Raises IndeterminateRankError when the
+    smallest kept and the largest dropped value are less than GAP_GUARD
+    apart.
     """
-    if scale is None:
-        scale = svals[0] if svals.size else 0.0
-    top = float(scale)
+    top = float(svals[0]) if svals.size else 0.0
     if top == 0.0:
         return 0
     rank = int(np.sum(svals > RANK_THRESHOLD * top))
@@ -191,20 +188,20 @@ def _has_cholesky_factor(gram: np.ndarray, slack: float) -> bool:
     return True
 
 
-def nullspace(matrix: np.ndarray, scale: float | None = None) -> np.ndarray:
+def nullspace(matrix: np.ndarray) -> np.ndarray:
     """Orthonormal rows v with matrix @ v = 0, by the numeric_rank rule.
 
     The SVD is taken of the square R factor of the matrix, which has the
     same singular values and right singular vectors; R is square only for
-    systems with at least as many rows as columns, and every Hom-space
-    system of alt_decompose is one.  scale is passed on to the rank rule.
-    An all-zero system returns a full orthonormal basis.
+    systems with at least as many rows as columns, and every commutant
+    system of alt_decompose is one.  An all-zero system returns a full
+    orthonormal basis.
     """
     if matrix.shape[0] < matrix.shape[1]:
         raise ValueError("nullspace needs at least as many rows as columns")
     _, svals, vh = np.linalg.svd(np.linalg.qr(matrix, mode="r"))
     # rows of vh are conjugate transposes of the right singular vectors
-    return vh[_guarded_rank(svals, scale):].conj()
+    return vh[_guarded_rank(svals):].conj()
 
 
 # ---------------------------------------------------------------------------

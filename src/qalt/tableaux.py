@@ -235,17 +235,14 @@ def _fillings(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
-def _canonical_key(t: StandardTableau):
-    # Reading sequence of the positions of n, n-1, ..., 2.
-    return tuple(t.position_of(v) for v in range(t.n, 1, -1))
-
-
 def enumerate_standard_tableaux(shape: YoungDiagram) -> list[StandardTableau]:
     """All standard tableaux of the given shape, in canonical order.
 
     The order (ascending by the position sequence of n, n-1, ..., 2) is
     frozen: every matrix and report downstream indexes its basis by it.
+    _fillings yields it without a sort: it visits the corners, which lie
+    in distinct rows, in ascending row order, so the position of n
+    ascends, and by induction the fillings of each smaller shape come in
+    the order of the positions of n-1, ..., 2.
     """
-    tabs = [StandardTableau(f) for f in _fillings(shape.rows)]
-    tabs.sort(key=_canonical_key)
-    return tabs
+    return [StandardTableau(f) for f in _fillings(shape.rows)]

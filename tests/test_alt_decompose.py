@@ -120,28 +120,9 @@ def test_commutant_without_the_identity_is_indeterminate(monkeypatch):
         commutant_dimension(r)
 
 
-def half_of(shape_text, tag="plus", q=Fraction(2)):
-    n = sum(int(part) for part in shape_text.split(","))
-    return classify(n, q).label_sides[f"{shape_text}:{tag}"]
-
-
 @pytest.mark.parametrize("solve,reason", [
     pytest.param(lambda: commutant_dimension(restricted("3,1").y_matrices),
                  "raw matrix sequences", id="raw-commutant"),
-    pytest.param(lambda: alt_decompose._hom(restricted("3,1"),
-                                            restricted("2,1,1").y_matrices),
-                 "raw matrix sequences", id="raw-hom"),
-    pytest.param(lambda: commutant_dimension(half_of("2,2")),
-                 "split half", id="half-commutant"),
-    pytest.param(lambda: alt_decompose._hom(half_of("2,2", "plus"),
-                                            half_of("2,2", "minus")),
-                 "split half", id="half-hom"),
-    pytest.param(lambda: alt_decompose._hom(restricted("3,1"),
-                                            restricted("3,1", 0.3)),
-                 "different q", id="mixed-q"),
-    pytest.param(lambda: alt_decompose._hom(restricted("3,1"),
-                                            restricted("3,2")),
-                 "different n", id="mixed-n"),
 ])
 def test_hom_refuses_inputs_other_than_shape_restrictions(solve, reason):
     # only a shape restriction carries the F_i that the split route solves on
@@ -162,113 +143,64 @@ def kron_hom_dimension(y1, y2):
 @pytest.mark.parametrize("q", SAMPLE_Q + (COMPLEX_Q, -0.9, -0.99,
                                            complex(0, 0.5), Fraction(1)))
 def test_hom_matches_kronecker_oracle(q):
-    # the split route must agree with the dense Kronecker system
+    # Hom(Res V_λ, Res V_μ) is [μ = λ] + [μ = ^tλ] by the dense Kronecker
+    # system: classify's inequivalences and induce rest on it, and for
+    # μ = λ it is the commutant that the split route solves
     for n in (3, 4, 5):
-        reps = [restricted(shape.text(), q) for shape in enumerate_diagrams(n)]
-        for r1 in reps:
-            for r2 in reps:
-                y1, y2 = r1.y_matrices, r2.y_matrices
-                expected = kron_hom_dimension(y1, y2)
-                assert alt_decompose._hom(r1, r2).shape[0] == expected
+        shapes = enumerate_diagrams(n)
+        reps = {shape: restricted(shape.text(), q) for shape in shapes}
+        for lam, r1 in reps.items():
+            for mu, r2 in reps.items():
+                expected = int(mu == lam) + int(mu == transpose(lam))
+                assert kron_hom_dimension(r1.y_matrices,
+                                          r2.y_matrices) == expected
+                if mu == lam:
+                    assert commutant_dimension(r1) == expected
 
 
 def test_split_route_rows_are_orthonormal_intertwiners():
-    for q in (Fraction(2), -0.99, COMPLEX_Q):
-        for a, b in (("3,1,1", "3,1,1"), ("3,2", "2,2,1"), ("4,1", "4,1")):
-            r1, r2 = restricted(a, q), restricted(b, q)
-            null = alt_decompose._hom(r1, r2)
-            assert len(null) >= 1
-            # real for real input (q = 2; at -0.99 the f-form is complex)
-            assert np.isrealobj(null) or not (
-                np.isrealobj(r1.stacked) and np.isrealobj(r2.stacked))
+    for q in (Fraction(2), 0.3, -0.99, COMPLEX_Q):
+        for text in ("2,2", "3,1,1", "4,1", "3,2,1"):
+            r = restricted(text, q)
+            null = alt_decompose._commutant(r, 1e-10)
+            assert len(null) == 1 + r.source.shape.is_self_conjugate
+            # real for real input
+            assert np.isrealobj(null) or not np.isrealobj(r.stacked)
             assert sup_norm(null.conj() @ null.T - np.eye(len(null))) < 1e-12
             for row in null:
-                x = row.reshape(r2.dim, r1.dim)
-                for y1, y2 in zip(r1.y_matrices, r2.y_matrices):
-                    assert sup_norm(y2 @ x - x @ y1) < 1e-10 * max(
-                        1.0, sup_norm(y1), sup_norm(y2))
-
-
-def test_hom_basis_is_orthonormal_and_real_for_real_input():
-    pairs = [(restricted("3,1"), restricted("2,1,1")),
-             (restricted("2,2"), restricted("2,2")),
-             (restricted("3,2", 0.3), restricted("2,2,1", 0.3))]
-    for r1, r2 in pairs:
-        null = alt_decompose._hom(r1, r2)
-        assert null.shape[0] >= 1
-        assert np.isrealobj(null)
-        assert sup_norm(null @ null.T - np.eye(null.shape[0])) < 1e-12
-        for row in null:
-            x = row.reshape(r2.dim, r1.dim)
-            for a, b in zip(r1.y_matrices, r2.y_matrices):
-                assert sup_norm(b @ x - x @ a) < 1e-12
-    r1, r2 = restricted("3,2", COMPLEX_Q), restricted("2,2,1", COMPLEX_Q)
-    null = alt_decompose._hom(r1, r2)
-    assert null.shape[0] == 1
-    assert sup_norm(null @ null.conj().T - np.eye(1)) < 1e-12
-    x = null[0].reshape(r2.dim, r1.dim)
-    for a, b in zip(r1.y_matrices, r2.y_matrices):
-        assert sup_norm(b @ x - x @ a) < 1e-12
-
-
-# -- intertwiners -------------------------------------------------------------------
-
-def test_intertwiner_between_transpose_pair():
-    r1, r2 = restricted("3,1"), restricted("2,1,1")
-    null = alt_decompose._hom(r1, r2)
-    assert null.shape[0] == 1
-    x = null[0].reshape(r2.dim, r1.dim)
-    assert abs(np.linalg.norm(x) - 1.0) < 1e-12
-    assert max(sup_norm(b @ x - x @ a)
-               for a, b in zip(r1.y_matrices, r2.y_matrices)) < 1e-10
-
-
-def test_no_intertwiner_between_different_labels():
-    assert alt_decompose._hom(restricted("4"), restricted("2,2")).shape[0] == 0
-    assert alt_decompose._hom(restricted("3,1"), restricted("4")).shape[0] == 0
-
-
-def test_intertwiner_trivial_pair():
-    assert alt_decompose._hom(restricted("3"),
-                              restricted("1,1,1")).shape[0] == 1
-
-
-def test_intertwiner_symmetry():
-    for a, b in (("3,1", "2,1,1"), ("4", "2,2"), ("3,2", "2,2,1")):
-        ra, rb = restricted(a), restricted(b)
-        assert (alt_decompose._hom(ra, rb).shape[0]
-                == alt_decompose._hom(rb, ra).shape[0])
+                x = row.reshape(r.dim, r.dim)
+                for y in r.y_matrices:
+                    assert sup_norm(y @ x - x @ y) < 1e-10 * max(
+                        1.0, sup_norm(y))
 
 
 def test_split_route_refuses_a_large_residual():
     # a 1e-6 change of one entry of y_1 leaves the F_i, which the system
-    # is solved on, as they were: the solution's residual against the
-    # changed Y_i (4.5e-7) is above the limit (1.4e-10), and is refused
-    r1, r2 = restricted("3,2"), restricted("2,2,1")
-    y1 = r2.y_matrices[0].copy()
+    # is solved on, as they were.  The identity of the +1 part commutes
+    # with any Y_i, but the -1 part's solution has a residual against the
+    # changed Y_i (7.1e-7) above the limit (1.4e-10), and is refused
+    r = restricted("2,2")
+    y1 = r.y_matrices[0].copy()
     y1[0, 0] += 1e-6
-    perturbed = alt_decompose.RestrictedRep(r2.source,
-                                            (y1, *r2.y_matrices[1:]))
-    assert alt_decompose._hom(r1, r2).shape[0] == 1
+    perturbed = alt_decompose.RestrictedRep(r.source, (y1, *r.y_matrices[1:]))
+    assert commutant_dimension(r) == 2
     with pytest.raises(IndeterminateRankError):
-        alt_decompose._hom(r1, perturbed)
+        commutant_dimension(perturbed)
 
 
 def test_intertwiner_residual_is_relative_to_the_generators():
-    # scaling the Y_i of both sides keeps the Hom space; the residual grows
-    # with the scale, past an absolute 1e-10, but stays within tol times
-    # the norms, so the split route accepts the solution
+    # scaling the Y_i keeps the commutant; the residual grows with the
+    # scale, past an absolute 1e-10, but stays within tol times the
+    # norms, so the split route accepts the solutions
     scale = 1e8
-    r1, r2 = restricted("3,2"), restricted("2,2,1")
-    s1 = alt_decompose.RestrictedRep(
-        r1.source, tuple(scale * y for y in r1.y_matrices))
-    s2 = alt_decompose.RestrictedRep(
-        r2.source, tuple(scale * y for y in r2.y_matrices))
-    null = alt_decompose._hom(s1, s2)
-    assert null.shape[0] == 1
-    x = null[0].reshape(s2.dim, s1.dim)
-    residual = max(sup_norm(b @ x - x @ a)
-                   for a, b in zip(s1.y_matrices, s2.y_matrices))
+    r = restricted("2,2")
+    s = alt_decompose.RestrictedRep(
+        r.source, tuple(scale * y for y in r.y_matrices))
+    null = alt_decompose._commutant(s, 1e-10)
+    assert null.shape[0] == 2
+    residual = max(sup_norm(y @ x - x @ y)
+                   for x in (row.reshape(s.dim, s.dim) for row in null)
+                   for y in s.y_matrices)
     assert 1e-10 < residual <= 1e-10 * scale * 1.5
 
 
@@ -301,21 +233,29 @@ def test_split_halves_evenly(shape_text, q):
         "shape", "dim", "method", "split_dims", "invariance_residual", "pass"}
 
 
+def half_matrices(r):
+    """The Y_i of r on each half of split_self_conjugate(r), (plus, minus)."""
+    return [tuple(basis.conj().T @ y @ basis for y in r.y_matrices)
+            for basis in split_self_conjugate(r)[:2]]
+
+
 def test_split_pieces_inequivalent():
     # classify infers that the halves of 3,2,1 are irreducible and
     # inequivalent; the dense Kronecker system on their matrices agrees
     for q in (Fraction(2), COMPLEX_Q, -0.99):
-        sides = classify(6, q).label_sides
-        plus = sides["3,2,1:plus"].y_matrices
-        minus = sides["3,2,1:minus"].y_matrices
+        report = classify(6, q)
+        halves = [label for label in report.labels
+                  if label["shape"] == "3,2,1"]
+        assert [label["commutant_dim"] for label in halves] == [1, 1]
+        plus, minus = half_matrices(report.restrictions["3,2,1"])
         assert kron_hom_dimension(plus, plus) == 1
         assert kron_hom_dimension(minus, minus) == 1
         assert kron_hom_dimension(plus, minus) == 0
 
 
 def test_each_hom_side_is_decomposed_once(monkeypatch):
-    # classify makes no eigendecomposition, and a side's generator norm
-    # bounds are computed once however many solves it takes part in
+    # classify makes no eigendecomposition, and a restriction's generator
+    # norm bounds are computed once however many solves it takes part in
     eig_calls, bound_calls = [], []
     eig, bounds = np.linalg.eig, alt_decompose._norm_bounds
 
@@ -330,16 +270,14 @@ def test_each_hom_side_is_decomposed_once(monkeypatch):
     monkeypatch.setattr(alt_decompose.np.linalg, "eig", counting_eig)
     report = classify(6, Fraction(2))
     assert eig_calls == []
-    plus = report.label_sides["3,2,1:plus"].y_matrices
-    minus = report.label_sides["3,2,1:minus"].y_matrices
+    plus, minus = half_matrices(report.restrictions["3,2,1"])
     assert kron_hom_dimension(plus, plus) == kron_hom_dimension(minus, minus) == 1
     assert kron_hom_dimension(plus, minus) == 0
     monkeypatch.setattr(alt_decompose, "_norm_bounds", counting_bounds)
     r, other = restricted("3,2,1"), restricted("4,1,1")
     for _ in range(3):
         assert commutant_dimension(r) == 2
-        assert alt_decompose._hom(other, other).shape[0] == 1
-    assert alt_decompose._hom(r, other).shape[0] == 0
+        assert commutant_dimension(other) == 1
     assert bound_calls == [(4, 16, 16), (4, 10, 10)]
     assert eig_calls == []
 
@@ -356,7 +294,7 @@ def test_split_projectors_lie_in_the_solved_commutant(q):
     # is a combination of the two solutions of the numeric commutant solve
     for text in ("2,1", "2,2", "3,1,1", "3,2,1", "4,1,1,1"):
         r = restricted(text, q)
-        null = alt_decompose._hom(r, r)
+        null = alt_decompose._commutant(r, 1e-10)
         assert null.shape[0] == 2
         for basis in split_self_conjugate(r)[:2]:
             assert sup_norm(basis.conj().T @ basis - np.eye(r.dim // 2)) \
@@ -470,7 +408,13 @@ def test_label_images_span_full_rank():
     # images of the normal-form monomials under the label sum are independent
     for n in (3, 4, 5):
         report = classify(n, Fraction(2))
-        mats = [side.y_matrices for side in report.label_sides.values()]
+        mats = []
+        for label in report.labels:
+            r = report.restrictions[label["shape"]]
+            if label["tag"] == "whole":
+                mats.append(r.y_matrices)
+            elif label["tag"] == "plus":
+                mats.extend(half_matrices(r))
         monomials = enumerate_normal_monomials(n)
         rows = []
         for mono in monomials:
@@ -552,7 +496,7 @@ def test_a_zeroed_mixed_pair_fails_classify(monkeypatch):
 
     monkeypatch.setattr(alt_decompose, "build_representation", mutated)
     report = classify(6, Fraction(2))
-    assert report.commutants["3,2,1"] != 2
+    assert commutant_dimension(report.restrictions["3,2,1"]) != 2
     assert report.checks["pass"] is False
     halves = [label for label in report.labels if label["shape"] == "3,2,1"]
     assert [label["commutant_dim"] for label in halves] == [None, None]

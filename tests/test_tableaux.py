@@ -159,6 +159,15 @@ def test_canonical_order_pinned():
         == ["1,3,4/2", "1,2,4/3", "1,2,3/4"]
 
 
+def test_enumeration_order_is_sorted_by_positions_of_n_down_to_2():
+    # the canonical order comes out of the corner recursion without a sort
+    for n in range(1, 9):
+        for shape in enumerate_diagrams(n):
+            tabs = enumerate_standard_tableaux(shape)
+            assert tabs == sorted(tabs, key=lambda t: tuple(
+                t.position_of(v) for v in range(n, 1, -1)))
+
+
 def test_parse_tableau_round_trip():
     t = parse_tableau("1,3/2,4")
     assert t.entries == ((1, 3), (2, 4))
