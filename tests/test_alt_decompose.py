@@ -174,6 +174,39 @@ def test_split_route_rows_are_orthonormal_intertwiners():
                         1.0, sup_norm(y))
 
 
+def hom_basis(r1, r2):
+    """Orthonormal rows spanning Hom(r1, r2), X flattened: the commutant
+    for r1 = r2, else the normalised transpose witness (Hom is 1-dim)."""
+    if r1 is r2:
+        return alt_decompose._commutant(r1, 1e-10)
+    index, signs = hecke_rep.transpose_witness(r1.source, r2.source)
+    x = np.zeros((r2.dim, r1.dim))
+    x[index, np.arange(r1.dim)] = signs / math.sqrt(r1.dim)
+    return x.reshape(1, -1)
+
+
+def test_hom_basis_is_orthonormal_and_real_for_real_input():
+    r22 = restricted("2,2")
+    pairs = [(restricted("3,1"), restricted("2,1,1")), (r22, r22),
+             (restricted("3,2", 0.3), restricted("2,2,1", 0.3))]
+    for r1, r2 in pairs:
+        null = hom_basis(r1, r2)
+        assert null.shape[0] >= 1
+        assert np.isrealobj(null)
+        assert sup_norm(null @ null.T - np.eye(null.shape[0])) < 1e-12
+        for row in null:
+            x = row.reshape(r2.dim, r1.dim)
+            for a, b in zip(r1.y_matrices, r2.y_matrices):
+                assert sup_norm(b @ x - x @ a) < 1e-12
+    r1, r2 = restricted("3,2", COMPLEX_Q), restricted("2,2,1", COMPLEX_Q)
+    null = hom_basis(r1, r2)
+    assert null.shape[0] == 1
+    assert sup_norm(null @ null.conj().T - np.eye(1)) < 1e-12
+    x = null[0].reshape(r2.dim, r1.dim)
+    for a, b in zip(r1.y_matrices, r2.y_matrices):
+        assert sup_norm(b @ x - x @ a) < 1e-12
+
+
 def test_split_route_refuses_a_large_residual():
     # a 1e-6 change of one entry of y_1 leaves the F_i, which the system
     # is solved on, as they were.  The identity of the +1 part commutes
