@@ -91,8 +91,10 @@ class RestrictedRep:
 
     source is the shape's f-form representation, whose F_i the commutant
     solve works on.  The stacked Y_i and their norm_bounds are computed on
-    first use and live as long as the record, so nothing is cached across
-    requests.
+    first use and live as long as the record: no q-dependent record is
+    cached across requests.  Only the q-independent skeleton of the shape
+    (its tableau basis, generator patterns and transpose witness, see
+    hecke_rep._skeleton) is kept for the process.
     """
 
     source: Representation

@@ -13,6 +13,7 @@ import argparse
 import json
 import re
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -161,7 +162,10 @@ def _parse_q_arg(text: str):
         raise ValueError(f"bad q {text!r}: {exc}") from None
 
 
+@cache
 def build_parser() -> _Parser:
+    """The CLI parser, built once per process: parse_args fills a fresh
+    namespace on every call, so no option carries over between calls."""
     parser = _Parser(prog="qalt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -22,6 +22,15 @@ of q-integers leaves no removable singularity at q = 1, where the f-form
 degenerates to the classical orthogonal form of the symmetric group
 (A -> 1/d); that limit is exposed as form "sym" and as q = 1.
 
+Only the block entries depend on q, and only through d.  Everything else
+in a shape's matrices is its skeleton (_skeleton), built once per process
+and shape: the tableau basis, the cells where i and i+1 share a row or a
+column, the anchor/partner cells of each mixed pair with the index of
+its d among the shape's distinct distances, and the transpose witness.
+build_representation evaluates the two diagonal values and one block per
+distinct d (memoized per process by _block_values) and fills the
+skeleton's cells by index arrays.
+
 Also here: the direct sum over all shapes of n (total dimension n!), and a
 numeric rank certificate showing that the images of the n!/2 even words
 span a space of full dimension n!/2, which pins down the dimension of the
@@ -35,6 +44,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -248,6 +258,29 @@ def _diagonal_entry(same_row: bool, q, form: str):
     return 1 if same_row else -1
 
 
+def _complex_entries(qv) -> bool:
+    # negative q takes the square root of a negative number in the blocks
+    return isinstance(qv, complex) or (qv is not None and qv < 0)
+
+
+@lru_cache(maxsize=256, typed=True)
+def _block_values(d: int, q, form: str, zero_signs) -> tuple:
+    """_block_entries(d, q, form) cast to the matrix scalar, once per process.
+
+    typed=True keeps Fraction(2) and 2.0 apart: they compare and hash
+    equal, but the exact entries rounded once differ in the last bit from
+    the float ones.  zero_signs, the signs of a complex q's parts, only
+    keys the cache: == ignores the sign of a zero part, the square root's
+    branch does not ((-2+0j) and (-2-0j) give B of opposite signs).  An
+    entry that overflows comes back as inf.
+    """
+    cast = complex if _complex_entries(q) else float
+    try:
+        return tuple(map(cast, _block_entries(d, q, form)))
+    except OverflowError:   # raised by a float or complex q^d
+        return (math.inf,) * 3
+
+
 # ---------------------------------------------------------------------------
 # representations
 
@@ -289,13 +322,101 @@ def _coerce_q(q, n: int):
     return q
 
 
+@dataclass(frozen=True, eq=False)
+class _Skeleton:
+    """What a shape's generator matrices hold independently of q and form.
+
+    Cells are flat indices into the n-1 stacked dim x dim generator
+    matrices, cell (i-1, k, l) of generator i.  same_row and same_column
+    are the diagonal cells (i-1, k, k) where i and i+1 share a row or a
+    column of basis[k].  Column j of blocks holds the cells (a, a), (b, b),
+    (a, b), (b, a) of the j-th mixed pair of a generator i: a is the
+    anchor, whose axial distance d of i and i+1 is positive, and b its
+    partner s_i a.  distances are the distinct d of the shape, ascending,
+    and distance_index[j] is the position of the j-th pair's d in them.
+    Every array is read-only.
+    """
+
+    shape: YoungDiagram
+    basis: tuple[StandardTableau, ...]
+    distances: tuple[int, ...]
+    same_row: np.ndarray
+    same_column: np.ndarray
+    blocks: np.ndarray
+    distance_index: np.ndarray
+
+    @cached_property
+    def witness(self) -> tuple[np.ndarray, np.ndarray]:
+        """(index, signs) of transpose_witness, from the entry tuples."""
+        onto = _skeleton(transpose(self.shape))
+        position = {t.entries: k for k, t in enumerate(onto.basis)}
+        index, signs = [], []
+        for t in self.basis:
+            columns = tuple(tuple(row[j] for row in t.entries if len(row) > j)
+                            for j in range(len(t.entries[0])))
+            index.append(position[columns])
+            signs.append(_reading_sign(columns))
+        return (_read_only(np.array(index, dtype=np.intp)),
+                _read_only(np.array(signs, dtype=float)))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@cache
+def _skeleton(shape: YoungDiagram) -> _Skeleton:
+    """The shape's skeleton, built once per process: one entry per shape."""
+    basis = tuple(enumerate_standard_tableaux(shape))
+    n, dim = shape.n, len(basis)
+    # the box of each value v in each tableau, by row reading order
+    box_row = np.repeat(np.arange(len(shape.rows)), shape.rows)
+    box_col = np.concatenate([np.arange(r) for r in shape.rows])
+    readings = np.array([[v for row in t.entries for v in row]
+                         for t in basis], dtype=np.intp)
+    box = np.argsort(readings, axis=1)      # box[k, v - 1]
+    row, col = box_row[box], box_col[box]
+    # [i - 1, k] for generator i: i and i+1 in basis[k]
+    same_row = (row[:, :-1] == row[:, 1:]).T
+    same_column = (col[:, :-1] == col[:, 1:]).T
+    distance = ((col - row)[:, :-1] - (col - row)[:, 1:]).T
+    gen, anchor = np.nonzero(~same_row & ~same_column & (distance > 0))
+    # the partner s_i T: the row word of T with i and i+1 swapped
+    position = {w: k for k, w in enumerate(map(tuple, row.tolist()))}
+    words = row[anchor]
+    picks = np.arange(len(anchor))
+    words[picks, gen], words[picks, gen + 1] = \
+        row[anchor, gen + 1], row[anchor, gen]
+    partner = np.array([position[w] for w in map(tuple, words.tolist())],
+                       dtype=np.intp)
+    distances, distance_index = np.unique(distance[gen, anchor],
+                                          return_inverse=True)
+
+    def cells(g, k, l):
+        return (g * dim + k) * dim + l
+
+    def diagonal(mask):
+        g, k = np.nonzero(mask)
+        return _read_only(cells(g, k, k))
+
+    blocks = np.stack([cells(gen, anchor, anchor), cells(gen, partner, partner),
+                       cells(gen, anchor, partner), cells(gen, partner, anchor)])
+    return _Skeleton(shape, basis, tuple(distances.tolist()),
+                     diagonal(same_row), diagonal(same_column),
+                     _read_only(blocks), _read_only(distance_index))
+
+
 def build_representation(shape: YoungDiagram, q, form: str = "f") -> Representation:
     """Build the generator matrices for shape at q.
 
     form "f" gives the involution generators, "g" the quadratic ones, and
     "sym" the symmetric-group orthogonal form (q is ignored and may be
     None).  q may be a QPoint, an exact Fraction (q = 1 meaning the
-    regularized limit), a float, or a complex number.
+    regularized limit), a float, or a complex number.  The shape's
+    skeleton (_skeleton) is refilled with the two diagonal values and one
+    block of entries per distinct axial distance; the matrices are
+    read-only.
     """
     if form not in FORMS:
         raise ValueError(f"unknown form {form!r}")
@@ -306,56 +427,36 @@ def build_representation(shape: YoungDiagram, q, form: str = "f") -> Representat
             raise ValueError("q is required for the g and f forms")
         qv = _coerce_q(q, shape.n)
 
-    basis = tuple(enumerate_standard_tableaux(shape))
-    index = {t.entries: k for k, t in enumerate(basis)}
-    n, dim = shape.n, len(basis)
-    use_complex = isinstance(qv, complex) or (qv is not None and qv < 0)
+    skeleton = _skeleton(shape)
+    n, dim = shape.n, len(skeleton.basis)
+    use_complex = _complex_entries(qv)
     dtype = np.complex128 if use_complex else np.float64
     cast = complex if use_complex else float
-    # diagonal entry by "i and i+1 share a row", and the block entries by
-    # axial distance, each evaluated once per call
-    diagonal = {same_row: cast(_diagonal_entry(same_row, qv, form))
-                for same_row in (False, True)}
-    blocks: dict[int, tuple] = {}
+    same_row, same_column = (cast(_diagonal_entry(same, qv, form))
+                             for same in (True, False))
+    zero_signs = (math.copysign(1, qv.real), math.copysign(1, qv.imag)) \
+        if isinstance(qv, complex) else None
+    blocks = np.array([_block_values(d, qv, form, zero_signs)
+                       for d in skeleton.distances], dtype=dtype).reshape(-1, 3)
+    # B overflows at large q before q^d does
+    if not np.isfinite(blocks).all():
+        raise OverflowError(
+            f"a seminormal entry is not finite at "
+            f"q = {q_to_text(qv)}, n = {n}")
 
-    matrices = []
-    for i in range(1, n):
-        mat = np.zeros((dim, dim), dtype=dtype)
-        for k, t in enumerate(basis):
-            (ri, ci), (rj, cj) = t.position_of(i), t.position_of(i + 1)
-            if ri == rj or ci == cj:
-                mat[k, k] = diagonal[ri == rj]
-                continue
-            d = (ci - ri) - (cj - rj)   # axial distance of i and i+1
-            if d < 0:
-                continue  # filled from the anchor side of the orbit
-            # the partner s_i T: the same entries with i and i+1 swapped
-            rows = [list(row) for row in t.entries]
-            rows[ri - 1][ci - 1], rows[rj - 1][cj - 1] = i + 1, i
-            b = index[tuple(map(tuple, rows))]
-            if d not in blocks:
-                try:
-                    blocks[d] = tuple(map(cast, _block_entries(d, qv, form)))
-                except OverflowError:   # raised by a float or complex q^d
-                    blocks[d] = (math.inf,)
-                # B overflows at large q before q^d does
-                if not all(map(cmath.isfinite, blocks[d])):
-                    raise OverflowError(
-                        f"a seminormal entry is not finite at "
-                        f"q = {q_to_text(qv)}, n = {n}")
-            anchor_diag, partner_diag, off = blocks[d]
-            mat[k, k] = anchor_diag
-            mat[b, b] = partner_diag
-            mat[k, b] = off
-            mat[b, k] = off
-        mat.setflags(write=False)
-        matrices.append(mat)
-    return Representation(shape, basis, tuple(matrices), qv, form)
+    stacked = np.zeros((n - 1, dim, dim), dtype=dtype)
+    flat = stacked.reshape(-1)
+    flat[skeleton.same_row] = same_row
+    flat[skeleton.same_column] = same_column
+    # anchor diagonal, partner diagonal and the off-diagonal twice
+    flat[skeleton.blocks] = blocks[skeleton.distance_index][:, [0, 1, 2, 2]].T
+    return Representation(shape, skeleton.basis, tuple(_read_only(stacked)),
+                          qv, form)
 
 
-def _reading_sign(t: StandardTableau) -> int:
-    """(-1)^(inversions of the row reading word of t)."""
-    word = [v for row in t.entries for v in row]
+def _reading_sign(entries: tuple[tuple[int, ...], ...]) -> int:
+    """(-1)^(inversions of the row reading word of a tableau's entries)."""
+    word = [v for row in entries for v in row]
     inversions = sum(a > b for k, a in enumerate(word) for b in word[k + 1:])
     return -1 if inversions % 2 else 1
 
@@ -373,6 +474,8 @@ def transpose_witness(rep: Representation,
     and branch, and s_i flips the reading sign.  X thus intertwines the
     even subalgebra's restrictions exactly.  For a self-conjugate shape
     (onto = rep), X^2 = eps I with eps = signs[k] signs[index[k]] for all k.
+    X depends on the shape only: both arrays are the skeleton's, computed
+    once per process and read-only.
     """
     if (rep.form == "g" or onto.form != rep.form
             or onto.shape != transpose(rep.shape)):
@@ -380,12 +483,7 @@ def transpose_witness(rep: Representation,
             f"no transpose witness from the {rep.form}-form of "
             f"{rep.shape.text()} to the {onto.form}-form of "
             f"{onto.shape.text()}")
-    position = {t.entries: k for k, t in enumerate(onto.basis)}
-    index = np.array([position[transpose(t).entries] for t in rep.basis],
-                     dtype=np.intp)
-    signs = np.array([_reading_sign(onto.basis[k]) for k in index],
-                     dtype=float)
-    return index, signs
+    return _skeleton(rep.shape).witness
 
 
 def evaluate_word(rep: Representation, word: Sequence[int]) -> np.ndarray:

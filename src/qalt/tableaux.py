@@ -12,6 +12,13 @@ The canonical tableau order fixes the basis order everywhere downstream:
 tableaux are sorted by the sequence of positions of n, n-1, ..., 2, with
 positions compared as (row, column) pairs.
 
+The fillings of each shape are computed once per process (_fillings is
+memoized per row tuple, so every sub-shape of the recursion is filled
+once) and are standard by construction, so enumerate_standard_tableaux
+wraps them without validating them again.  Every other way to a
+StandardTableau (the constructor, parse_tableau, transpose,
+apply_transposition) validates its entries.
+
 >>> [d.text() for d in enumerate_diagrams(3)]
 ['3', '2,1', '1,1,1']
 >>> [t.text() for t in enumerate_standard_tableaux(YoungDiagram((2, 1)))]
@@ -21,7 +28,7 @@ positions compared as (row, column) pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 __all__ = [
     "YoungDiagram",
@@ -136,6 +143,13 @@ class StandardTableau:
                 if entries[i][j] >= entries[i + 1][j]:
                     raise ValueError("columns must increase top to bottom")
 
+    @classmethod
+    def _standard(cls, entries: tuple[tuple[int, ...], ...]):
+        """Wrap entries known to be a standard filling, without validation."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "entries", entries)
+        return t
+
     @property
     def shape(self) -> YoungDiagram:
         return YoungDiagram(tuple(len(row) for row in self.entries))
@@ -214,11 +228,13 @@ def apply_transposition(t: StandardTableau, i: int):
     return StandardTableau(tuple(tuple(row) for row in rows))
 
 
-def _fillings(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
-    # Remove the largest entry from a corner and recurse.
+@cache
+def _fillings(shape: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    # Remove the largest entry from a corner and recurse.  Memoized: one
+    # entry per shape and sub-shape touched, each a standard filling.
     n = sum(shape)
     if n == 1:
-        return [((1,),)]
+        return (((1,),),)
     out = []
     diagram = YoungDiagram(shape)
     for i, j in diagram.corners():
@@ -232,7 +248,7 @@ def _fillings(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
                 grid.append([])
             grid[i - 1].append(n)
             out.append(tuple(tuple(row) for row in grid))
-    return out
+    return tuple(out)
 
 
 def enumerate_standard_tableaux(shape: YoungDiagram) -> list[StandardTableau]:
@@ -243,6 +259,7 @@ def enumerate_standard_tableaux(shape: YoungDiagram) -> list[StandardTableau]:
     _fillings yields it without a sort: it visits the corners, which lie
     in distinct rows, in ascending row order, so the position of n
     ascends, and by induction the fillings of each smaller shape come in
-    the order of the positions of n-1, ..., 2.
+    the order of the positions of n-1, ..., 2.  The fillings are standard
+    by construction and are not validated again.
     """
-    return [StandardTableau(f) for f in _fillings(shape.rows)]
+    return [StandardTableau._standard(f) for f in _fillings(shape.rows)]

@@ -10,7 +10,7 @@ import pytest
 
 import qalt
 from qalt import hecke_rep
-from qalt.cli import _COMMANDS, main
+from qalt.cli import _COMMANDS, build_parser, main
 from qalt.hecke_rep import IndeterminateRankError
 
 
@@ -37,6 +37,32 @@ def test_output_is_byte_identical(capsys):
     _, third, _ = run(capsys, "verify", "--n", "4", "--q", "2", "--seed", "3")
     _, fourth, _ = run(capsys, "verify", "--n", "4", "--q", "2", "--seed", "3")
     assert third == fourth
+
+
+# each call with an option, then the same call without it
+PARSER_SEQUENCE = (
+    ("induce", "--n", "4", "--q", "2", "--label", "3,1"),
+    ("induce", "--n", "4", "--q", "2"),
+    ("verify", "--n", "4", "--q", "2", "--seed", "5"),
+    ("verify", "--n", "4", "--q", "2"),
+    ("rep", "--shape", "2,1", "--q", "3/2", "--form", "g", "--output", "text"),
+    ("rep", "--shape", "2,1", "--q", "3/2"),
+    ("classify", "--n", "4", "--q", "2", "--tol", "1e-20"),
+    ("classify", "--n", "4", "--q", "2"),
+)
+
+
+def test_one_parser_per_process_keeps_no_options(capsys):
+    # the cached parser serves every call; each output equals the one a
+    # freshly built parser gives, so no option leaks into the next call
+    build_parser.cache_clear()
+    shared = [run(capsys, *argv) for argv in PARSER_SEQUENCE]
+    assert build_parser.cache_info().misses == 1
+    assert build_parser.cache_info().hits == len(PARSER_SEQUENCE) - 1
+    for argv, result in zip(PARSER_SEQUENCE, shared):
+        build_parser.cache_clear()
+        assert run(capsys, *argv) == result
+    assert shared[0][1] != shared[1][1] and shared[2][1] != shared[3][1]
 
 
 def test_rewrite_cubic(capsys):

@@ -10,8 +10,6 @@ from field_oracle import Q
 from qalt import hecke_rep
 from qalt.scalars import QInteger, QPoint
 from qalt.tableaux import (
-    apply_transposition,
-    axial_distance,
     enumerate_diagrams,
     enumerate_standard_tableaux,
     parse_shape,
@@ -51,45 +49,92 @@ def block_oracle(d, q):
 
 # -- block structure -----------------------------------------------------------
 
-def reference_matrices(rep):
-    """rep's generator matrices by the per-entry loop: a partner tableau,
-    an axial distance and a block evaluation for every mixed pair."""
-    qv, form = rep.q_value, rep.form
+def old_build_loop(shape, q, form):
+    """The matrices of the former per-tableau build loop, which located i
+    and i+1 in every tableau and rebuilt each partner's entries, with the
+    entry formulas evaluated uncached."""
+    qv = None if form == "sym" else hecke_rep._coerce_q(q, shape.n)
+    basis = tuple(enumerate_standard_tableaux(shape))
+    index = {t.entries: k for k, t in enumerate(basis)}
     use_complex = isinstance(qv, complex) or (qv is not None and qv < 0)
     dtype = np.complex128 if use_complex else np.float64
     cast = complex if use_complex else float
-    index = {t.entries: k for k, t in enumerate(rep.basis)}
+    diagonal = {same_row: cast(hecke_rep._diagonal_entry(same_row, qv, form))
+                for same_row in (False, True)}
     matrices = []
-    for i in range(1, rep.n):
-        mat = np.zeros((rep.dim, rep.dim), dtype=dtype)
-        for k, t in enumerate(rep.basis):
-            partner = apply_transposition(t, i)
-            if partner is None:
-                same_row = t.position_of(i)[0] == t.position_of(i + 1)[0]
-                mat[k, k] = cast(hecke_rep._diagonal_entry(same_row, qv, form))
+    for i in range(1, shape.n):
+        mat = np.zeros((len(basis), len(basis)), dtype=dtype)
+        for k, t in enumerate(basis):
+            (ri, ci), (rj, cj) = t.position_of(i), t.position_of(i + 1)
+            if ri == rj or ci == cj:
+                mat[k, k] = diagonal[ri == rj]
                 continue
-            d = axial_distance(t, i, i + 1)
+            d = (ci - ri) - (cj - rj)
             if d < 0:
                 continue
-            b = index[partner.entries]
-            anchor, other, off = (cast(v) for v in
-                                  hecke_rep._block_entries(d, qv, form))
-            mat[k, k], mat[b, b], mat[k, b], mat[b, k] = anchor, other, off, off
+            rows = [list(row) for row in t.entries]
+            rows[ri - 1][ci - 1], rows[rj - 1][cj - 1] = i + 1, i
+            b = index[tuple(map(tuple, rows))]
+            anchor_diag, partner_diag, off = \
+                map(cast, hecke_rep._block_entries(d, qv, form))
+            mat[k, k], mat[b, b] = anchor_diag, partner_diag
+            mat[k, b] = mat[b, k] = off
         matrices.append(mat)
-    return matrices
+    return basis, matrices
+
+
+def assert_old_build(rep):
+    basis, matrices = old_build_loop(rep.shape, rep.q_value, rep.form)
+    assert rep.basis == basis
+    assert len(rep.generator_matrices) == len(matrices) == rep.n - 1
+    for mat, old in zip(rep.generator_matrices, matrices):
+        assert mat.dtype == old.dtype
+        assert np.array_equal(mat, old)
 
 
 @pytest.mark.parametrize("form", hecke_rep.FORMS)
-@pytest.mark.parametrize("q", SAMPLE_Q + (COMPLEX_Q, -0.9, 0.5j, Fraction(1)))
+@pytest.mark.parametrize("q", SAMPLE_Q + (COMPLEX_Q, -0.9, 0.5j, Fraction(1),
+                                          -0.99))
 def test_builder_matches_the_per_entry_reference(form, q):
-    for n in range(2, 7):
+    # the skeleton fill against the per-tableau loop, every shape n <= 7
+    for n in range(1, 8):
         for shape in enumerate_diagrams(n):
-            rep = build_representation(shape, q, form)
-            reference = reference_matrices(rep)
-            assert len(reference) == len(rep.generator_matrices) == n - 1
-            for mat, ref in zip(rep.generator_matrices, reference):
-                assert mat.dtype == ref.dtype
-                assert np.array_equal(mat, ref)
+            assert_old_build(build_representation(shape, q, form))
+
+
+@pytest.mark.parametrize("exact, rounded, shape, differ", [
+    (Fraction(2), 2.0, "4,2,1", False),
+    # the exact d = 6 entries rounded once differ from the float ones
+    (Fraction(415, 128), 415 / 128, "6,1", True),
+    # == ignores the sign of a zero part; the branch of B does not
+    (complex(-2, 0.0), complex(-2, -0.0), "2,1", True),
+])
+def test_block_value_cache_keeps_equal_q_apart(exact, rounded, shape, differ):
+    # whichever q reaches the per-process cache first, each gets its own
+    # entries, as the uncached formulas give them
+    assert exact == rounded and hash(exact) == hash(rounded)
+    shape = parse_shape(shape)
+    for order in ((exact, rounded), (rounded, exact)):
+        hecke_rep._block_values.cache_clear()
+        for q in order:
+            assert_old_build(build_representation(shape, q, "f"))
+    old = [old_build_loop(shape, q, "f")[1] for q in (exact, rounded)]
+    assert all(map(np.array_equal, *old)) is not differ
+
+
+def test_skeleton_is_read_only_and_built_once():
+    shape = parse_shape("3,2,1")
+    skeleton = hecke_rep._skeleton(shape)
+    rep = build_representation(shape, Fraction(2), "f")
+    assert hecke_rep._skeleton(shape) is skeleton
+    assert rep.basis is skeleton.basis
+    index, signs = transpose_witness(rep, rep)
+    arrays = (skeleton.same_row, skeleton.same_column, skeleton.blocks,
+              skeleton.distance_index, index, signs) + rep.generator_matrices
+    for array in arrays:
+        assert array.size
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0
 
 
 def test_one_row_shape_is_trivial():
@@ -283,6 +328,22 @@ def test_transpose_witness_is_the_reading_sign_oracle(q):
             f, f_t = rep.generator_matrices, rep_t.generator_matrices
             for i in range(1, n - 1):
                 assert sup_norm(f_t[0] @ f_t[i] @ x - x @ f[0] @ f[i]) == 0.0
+
+
+def test_transpose_witness_is_the_old_tableau_route():
+    # index[k] is the position of transpose(T_k), signs[k] the reading
+    # sign of that validated tableau, for the f- and the sym-form
+    for n in range(1, 8):
+        for shape in enumerate_diagrams(n):
+            for q, form in ((Fraction(2), "f"), (None, "sym")):
+                rep = build_representation(shape, q, form)
+                onto = build_representation(transpose(shape), q, form)
+                position = {t.entries: k for k, t in enumerate(onto.basis)}
+                old_index = [position[transpose(t).entries] for t in rep.basis]
+                index, signs = transpose_witness(rep, onto)
+                assert index.tolist() == old_index
+                assert signs.tolist() == [reading_sign(onto.basis[k])
+                                          for k in old_index]
 
 
 def test_transpose_witness_forms():

@@ -168,6 +168,18 @@ def test_enumeration_order_is_sorted_by_positions_of_n_down_to_2():
                 t.position_of(v) for v in range(n, 1, -1)))
 
 
+def test_enumerated_tableaux_pass_validation():
+    # the memoized fillings skip __post_init__; each must still be a
+    # standard tableau, and a caller's list is its own
+    for n in range(1, 9):
+        for shape in enumerate_diagrams(n):
+            tabs = enumerate_standard_tableaux(shape)
+            assert [StandardTableau(t.entries) for t in tabs] == tabs
+            tabs.clear()
+            assert len(enumerate_standard_tableaux(shape)) == \
+                hook_length_count(shape.rows)
+
+
 def test_parse_tableau_round_trip():
     t = parse_tableau("1,3/2,4")
     assert t.entries == ((1, 3), (2, 4))
