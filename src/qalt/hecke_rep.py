@@ -34,7 +34,15 @@ skeleton's cells by index arrays.
 Also here: the direct sum over all shapes of n (total dimension n!), and a
 numeric rank certificate showing that the images of the n!/2 even words
 span a space of full dimension n!/2, which pins down the dimension of the
-even subalgebra.
+even subalgebra.  The seminormal basis is adapted to H_{m-1} in H_m, so
+the matrix M of those images factors level by level through one square
+matrix S_mu per shape mu of m-1 (_branching_bound), and
+
+    sigma_min(M) / sigma_max(M) >= r_2 r_3 ... r_n,
+    r_m = min_mu sigma_min(S_mu) / max_mu sigma_max(S_mu).
+
+When the product is at least GAP_GUARD RANK_THRESHOLD = 1e-6 the rank is
+n!/2 without forming M; otherwise M is formed and numeric_rank decides.
 """
 
 from __future__ import annotations
@@ -335,6 +343,12 @@ class _Skeleton:
     partner s_i a.  distances are the distinct d of the shape, ascending,
     and distance_index[j] is the position of the j-th pair's d in them.
     Every array is read-only.
+
+    branches lists (mu, start, stop) for each shape mu = shape minus the
+    box of n, in basis order: the basis is sorted by the position of n
+    first, so basis[start:stop] are the tableaux with n in that box, in
+    the order of mu's basis, and on H_{n-1} the rows and columns
+    start:stop carry mu's representation.
     """
 
     shape: YoungDiagram
@@ -344,6 +358,7 @@ class _Skeleton:
     same_column: np.ndarray
     blocks: np.ndarray
     distance_index: np.ndarray
+    branches: tuple[tuple[YoungDiagram, int, int], ...]
 
     @cached_property
     def witness(self) -> tuple[np.ndarray, np.ndarray]:
@@ -402,9 +417,18 @@ def _skeleton(shape: YoungDiagram) -> _Skeleton:
 
     blocks = np.stack([cells(gen, anchor, anchor), cells(gen, partner, partner),
                        cells(gen, anchor, partner), cells(gen, partner, anchor)])
+    branches = []
+    if n > 1:
+        corner_rows, starts = np.unique(row[:, -1], return_index=True)
+        for r, start, stop in zip(corner_rows, starts, [*starts[1:], dim]):
+            rows = list(shape.rows)
+            rows[r] -= 1
+            branches.append((YoungDiagram(tuple(filter(None, rows))),
+                             int(start), int(stop)))
     return _Skeleton(shape, basis, tuple(distances.tolist()),
                      diagonal(same_row), diagonal(same_column),
-                     _read_only(blocks), _read_only(distance_index))
+                     _read_only(blocks), _read_only(distance_index),
+                     tuple(branches))
 
 
 def build_representation(shape: YoungDiagram, q, form: str = "f") -> Representation:
@@ -584,28 +608,19 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _word_matrix(n: int, q) -> np.ndarray:
-    """The certificate's matrix: one row per even descent-vector word.
+def _column_blocks(n: int, q) -> list[tuple[Representation, float]]:
+    """The word matrix's column blocks, refused when memory would not do.
 
-    Each row holds the word's f-form images on the anchor of every
-    transpose pair, weighted sqrt(2), and on every self-conjugate shape,
-    weighted 1, in the order of enumerate_diagrams.  The words are walked
-    one stage at a time: at stage s every node w of the level has the s
-    children w, w f_{s-1}, w f_{s-1} f_{s-2}, ..., made by one batched
-    matmul of the whole level per factor, and the level lists its nodes
-    in depth-first order.  The last two stages take one child index of
-    stage n-1 at a time, so the transient is a few levels of (n-2)!
-    matrices, and each even leaf goes straight into its row: the count
-    of even leaves before it in depth-first order, which is the order of
-    enumerate_even_uwords.  Every image is the product evaluate_word
-    forms, bit for bit.
+    One (representation, weight) per column block: the f-form of the
+    anchor of every transpose pair, weighted sqrt(2), and of every
+    self-conjugate shape, weighted 1, in the order of enumerate_diagrams.
 
-    Raises ValueError before allocating when the word matrix and the
-    rank solve's peak would exceed physical memory.  The peak is bounded
-    by a copy of the matrix beside the Gram matrix: the conjugate a
-    complex Gram product is formed from, or, since the Gram matrix is
-    freed first, the SVD's copy; the block Cholesky test adds only a few
-    block rows to the Gram matrix.
+    Raises ValueError when the word matrix and the rank solve's peak
+    would exceed physical memory.  The peak is bounded by a copy of the
+    matrix beside the Gram matrix: the conjugate a complex Gram product
+    is formed from, or, since the Gram matrix is freed first, the SVD's
+    copy; the block Cholesky test adds only a few block rows to the Gram
+    matrix.
     """
     if n < 2:
         raise ValueError("dimension_certificate needs n >= 2")
@@ -624,6 +639,28 @@ def _word_matrix(n: int, q) -> np.ndarray:
             f"{need / 1e9:.1f} GB (a {rows} x {cols} word matrix and its "
             f"rank solve), more than the {budget / 1e9:.1f} GB of "
             f"physical memory")
+    return blocks
+
+
+def _word_matrix(n: int, q) -> np.ndarray:
+    """The certificate's matrix: one row per even descent-vector word.
+
+    Each row holds the word's images on _column_blocks, weighted.  The
+    words are walked one stage at a time: at stage s every node w of the
+    level has the s children w, w f_{s-1}, w f_{s-1} f_{s-2}, ..., made
+    by one batched matmul of the whole level per factor, and the level
+    lists its nodes in depth-first order.  The last two stages take one
+    child index of stage n-1 at a time, so the transient is a few levels
+    of (n-2)! matrices, and each even leaf goes straight into its row:
+    the count of even leaves before it in depth-first order, which is the
+    order of enumerate_even_uwords.  Every image is the product
+    evaluate_word forms, bit for bit.
+    """
+    blocks = _column_blocks(n, q)
+    rows = math.factorial(n) // 2
+    cols = sum(rep.dim ** 2 for rep, _ in blocks)
+    dtype = np.result_type(*(rep.generator_matrices[0].dtype
+                             for rep, _ in blocks))
     big = np.zeros((rows, cols), dtype=dtype)
 
     col = 0
@@ -659,30 +696,85 @@ def _word_matrix(n: int, q) -> np.ndarray:
     return big
 
 
+def _branching_bound(n: int, q) -> float:
+    """A lower bound on sigma_min / sigma_max of the word matrix.
+
+    Write F_m for the matrix of all m! descent-vector words of H_m, one
+    row per word, against every shape of m with weight 1.  A word of
+    level m is h c, h a word of level m-1 and c one of the m coset
+    factors 1, f_{m-1}, f_{m-1} f_{m-2}, ..., f_{m-1} ... f_1.  On the
+    seminormal basis rho_lambda(h) is block diagonal, one block
+    rho_mu(h) per mu = lambda minus a box (_Skeleton.branches), so
+    rho_lambda(h c)[k, l] = sum_j rho_mu(h)[k, j] rho_lambda(c)[T_j, l],
+    T_j the tableau of lambda that restricts to mu's j-th one.  Hence
+    F_m = (I_m (x) F_{m-1}) K_m up to orthogonal permutations, with K_m
+    the direct sum over mu of d_mu copies of the square matrix S_mu,
+    rows (c, j), columns (lambda, l) and entries rho_lambda(c)[T_j, l];
+    it is square because the lambda above mu have sum d_lambda = m d_mu.
+    With r_m = min_mu sigma_min(S_mu) / max_mu sigma_max(S_mu) this gives
+    sigma_min / sigma_max of F_n >= r_2 ... r_n, F_1 = (1).
+
+    The even rows of F_n and its odd rows are orthogonal: they lie in
+    the +1 and -1 eigenspaces of the isometric involution taking each
+    image Y on lambda to X Y X^T on lambda', X of transpose_witness.  So
+    the even rows' singular values are some of F_n's, and the word
+    matrix has the same M M^H as the even rows (see
+    dimension_certificate): the product bounds its ratio too.
+    """
+    bound = 1.0
+    for m in range(2, n + 1):
+        squares = {mu: [] for mu in enumerate_diagrams(m - 1)}
+        for shape in enumerate_diagrams(m):
+            mats = build_representation(shape, q, "f").generator_matrices
+            cosets = [np.eye(len(mats[0]), dtype=mats[0].dtype)]
+            for f in reversed(mats):
+                cosets.append(cosets[-1] @ f)
+            cosets = np.stack(cosets)
+            for mu, start, stop in _skeleton(shape).branches:
+                squares[mu].append(cosets[:, start:stop])
+        svals = []
+        for parts in squares.values():
+            square = np.concatenate(parts, axis=2)
+            svals.append(np.linalg.svd(square.reshape(-1, square.shape[2]),
+                                       compute_uv=False))
+        bound *= min(s[-1] for s in svals) / max(s[0] for s in svals)
+    return bound
+
+
 def dimension_certificate(n: int, q=Fraction(2)) -> dict:
     """Rank certificate: even words span a space of dimension n!/2.
 
-    Multiplies out the f-form images of all descent-vector words of even
-    length (_word_matrix) and computes the numeric rank of the
-    (n!/2)-row matrix of their entries.  Combined with the exact
-    even-word count this pins the dimension of the even subalgebra from
-    both sides.
+    The certificate is the numeric rank of the (n!/2)-row matrix M of the
+    f-form images of all descent-vector words of even length
+    (_word_matrix).  Combined with the exact even-word count this pins
+    the dimension of the even subalgebra from both sides.
 
     The columns are those of the direct sum of all irreducibles, reduced
     by transpose pairs.  An even word's image on the transposed shape is
     X W X^T, W its image on the shape and X the signed permutation of
     transpose_witness.  One shape per pair (the anchor of classify, with
     the larger rows) stands for both with weight sqrt(2), and each
-    self-conjugate shape keeps weight 1: the matrix M has the same M M^H
-    as the full direct sum, hence the same singular values.  numeric_rank
+    self-conjugate shape keeps weight 1: M has the same M M^H as the
+    full direct sum, hence the same singular values.
+
+    The rank is read first from the branching rule, without forming M:
+    sigma_min(M) / sigma_max(M) >= sigma_min / sigma_max of all words on
+    all shapes >= r_2 ... r_n (_branching_bound), each r_m from one SVD
+    per shape of m-1 of size at most m d_mu.  When the product is at
+    least GAP_GUARD RANK_THRESHOLD = 1e-6, every singular value of M is
+    at least GAP_GUARD times the SVD's cutoff, so the SVD would return
+    n!/2, and that is the rank.  Otherwise M is formed and numeric_rank
     reads a clearly full rank from a block Cholesky test of the shifted
     Gram matrix, with its panels' residuals charged to the shift, and
-    takes the SVD otherwise.  Raises ValueError up front when memory would not
-    suffice (see _word_matrix).
+    takes the SVD otherwise.  Raises ValueError up front, before either
+    route, when M would not fit in memory (see _column_blocks).
     """
-    big = _word_matrix(n, q)
-    rows = len(big)
-    rank = numeric_rank(big)
+    _column_blocks(n, q)    # the memory refusal comes before either route
+    rows = math.factorial(n) // 2
+    if _branching_bound(n, q) >= GAP_GUARD * RANK_THRESHOLD:
+        rank = rows
+    else:
+        rank = numeric_rank(_word_matrix(n, q))
     return {"even_words": rows, "rank": rank, "expected": rows,
             "pass": rank == rows}
 

@@ -10,6 +10,7 @@ from field_oracle import Q
 from qalt import hecke_rep
 from qalt.scalars import QInteger, QPoint
 from qalt.tableaux import (
+    YoungDiagram,
     enumerate_diagrams,
     enumerate_standard_tableaux,
     parse_shape,
@@ -135,6 +136,25 @@ def test_skeleton_is_read_only_and_built_once():
         assert array.size
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 0
+
+
+def test_skeleton_branches_are_the_restrictions():
+    # deleting n from the k-th tableau gives mu's i-th tableau exactly
+    # when k = start + i in mu's branch
+    assert hecke_rep._skeleton(parse_shape("1")).branches == ()
+    for n in range(2, 8):
+        for shape in enumerate_diagrams(n):
+            skeleton = hecke_rep._skeleton(shape)
+            expected = []
+            for k, t in enumerate(skeleton.basis):
+                entries = tuple(filter(None, (tuple(v for v in row if v != n)
+                                              for row in t.entries)))
+                mu = YoungDiagram(tuple(map(len, entries)))
+                basis = [u.entries for u in enumerate_standard_tableaux(mu)]
+                expected.append((k, mu, basis.index(entries)))
+            assert [(k, mu, k - start)
+                    for mu, start, stop in skeleton.branches
+                    for k in range(start, stop)] == expected
 
 
 def test_one_row_shape_is_trivial():
@@ -656,6 +676,48 @@ def test_dimension_certificate_refuses_beyond_physical_memory(monkeypatch):
     assert f"{certificate_gb(20160, 25092, 8):.1f}" == "11.3"
     monkeypatch.setattr(hecke_rep, "_physical_memory", lambda: None)
     assert dimension_certificate(3)["pass"]
+
+
+@pytest.mark.parametrize("q", ORACLE_Q)
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_branching_bound_is_below_the_word_matrix_ratio(n, q):
+    svals = np.linalg.svd(hecke_rep._word_matrix(n, q), compute_uv=False)
+    assert hecke_rep._branching_bound(n, q) <= svals[-1] / svals[0] * (1 + 1e-9)
+
+
+def spy_on_rank_routes(monkeypatch) -> list:
+    """Names the word-matrix route's steps as dimension_certificate runs them."""
+    calls = []
+    for name in ("_word_matrix", "numeric_rank"):
+        def spy(*args, _name=name, _route=getattr(hecke_rep, name)):
+            calls.append(_name)
+            return _route(*args)
+        monkeypatch.setattr(hecke_rep, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("n, q", [(7, Fraction(2)), (7, 0.5j), (6, 1 + 0.5j),
+                                  (7, Fraction(1))])
+def test_branching_bound_certifies_without_the_word_matrix(n, q, monkeypatch):
+    calls = spy_on_rank_routes(monkeypatch)
+    rows = math.factorial(n) // 2
+    assert dimension_certificate(n, q) == {
+        "even_words": rows, "rank": rows, "expected": rows, "pass": True}
+    assert calls == []
+
+
+@pytest.mark.parametrize("q", [-0.9, 1e-5])
+@pytest.mark.parametrize("n", [5, 6])
+def test_small_branching_bound_falls_back_to_the_word_matrix(n, q,
+                                                             monkeypatch):
+    # the word-matrix route refuses these as it did before the bound
+    with pytest.raises(IndeterminateRankError) as direct:
+        numeric_rank(hecke_rep._word_matrix(n, q))
+    calls = spy_on_rank_routes(monkeypatch)
+    with pytest.raises(IndeterminateRankError) as info:
+        dimension_certificate(n, q)
+    assert str(info.value) == str(direct.value)
+    assert calls == ["_word_matrix", "numeric_rank"]
 
 
 # -- serialization ---------------------------------------------------------------------
