@@ -21,7 +21,13 @@ requests are:
   different branches of the split and of the Hom basis;
 - `frontier`: `classify` and `induce` at n = 7 for q in {2, 0.3, 1+0.5i,
   -0.9, 0.5i}, and `classify --n 8 --q 2`, the largest requests the CLI
-  accepts by default.
+  accepts by default;
+- `rep`: every shape of n = 2..5 (the CLI refuses n < 2) in each form
+  f, g and sym at q in {2, 0.3, 1+0.5i}, and the 35-dimensional shapes
+  4,2,1 and 3,2,1,1 at q = 2 and 1+0.5i;
+- `text`: `--output text` for one small request of each subcommand,
+  with `rep` and `symmetry` also at q = 1+0.5i, where the entries are
+  complex.
 
 The rewrite, verify_seed and dim digests were recorded at commit
 da32be3, where every exact coefficient was built by gcd-reduced
@@ -38,7 +44,10 @@ cae87bd, before the split of a self-conjugate restriction took one path
 for real and complex input.  The frontier digests were recorded at
 commit 6fc2f7f, where each transpose pair was checked by a Hom solve and
 a self-conjugate restriction was split by an eigendecomposition of a
-non-scalar element of its solved commutant.
+non-scalar element of its solved commutant.  The rep and text digests
+were recorded at commit 1b6771a, where the JSON renderer tagged each
+float with a sentinel string, ran the `json` module's encoder and
+stripped the tags again, and the text renderer stripped the same tags.
 
 To record groups again, run from the root of the repository, naming
 the groups:
@@ -72,6 +81,20 @@ VERIFY_Q = ("2", "3/2", "0.3", "1+0.5i")
 INDUCE_LABELS = ("4,2", "3,2,1:plus")
 OFFSAMPLE_Q = ("-0.9", "-0.99", "-1.01", "0.5i", "1")
 FRONTIER_Q = ("2", "0.3", "1+0.5i", "-0.9", "0.5i")
+REP_Q = ("2", "0.3", "1+0.5i")
+TEXT_REQUESTS = (
+    ["tableaux", "--n", "4"],
+    ["tableaux", "--shape", "3,1"],
+    ["rep", "--shape", "2,1", "--q", "2"],
+    ["rep", "--shape", "2,1", "--q", "1+0.5i"],
+    ["verify", "--n", "4", "--q", "2", "--seed", "7"],
+    ["rewrite", "--n", "4", "--word", "y1 y2 y1", "--q", "2"],
+    ["dim", "--n", "4", "--q", "2"],
+    ["classify", "--n", "4", "--q", "2"],
+    ["induce", "--n", "4", "--q", "2"],
+    ["symmetry", "--shape", "2,1", "--q", "2"],
+    ["symmetry", "--shape", "2,1", "--q", "1+0.5i"],
+)
 
 
 def requests() -> dict:
@@ -104,9 +127,16 @@ def requests() -> dict:
     frontier = [[command, "--n", "7", "--q", q]
                 for command in ("classify", "induce") for q in FRONTIER_Q]
     frontier.append(["classify", "--n", "8", "--q", "2"])
+    rep = [["rep", "--shape", shape.text(), "--form", form, "--q", q]
+           for n in range(2, 6) for shape in enumerate_diagrams(n)
+           for form in ("f", "g", "sym") for q in REP_Q]
+    rep += [["rep", "--shape", shape, "--q", q]
+            for shape in ("4,2,1", "3,2,1,1") for q in ("2", "1+0.5i")]
+    text = [argv + ["--output", "text"] for argv in TEXT_REQUESTS]
     return {"rewrite": rewrite, "verify_seed": verify, "dim": dim,
             "classify": classify, "induce": induce, "symmetry": symmetry,
-            "classify_offsample": offsample, "frontier": frontier}
+            "classify_offsample": offsample, "frontier": frontier,
+            "rep": rep, "text": text}
 
 
 def record(argv: list) -> dict:
