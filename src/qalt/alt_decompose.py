@@ -460,11 +460,7 @@ def transpose_symmetry_report(shape: YoungDiagram, q,
             "generator": f"y{i}",
             "max_signed_deviation": sup_norm(signed),
             "max_abs_deviation": sup_norm(absolute),
-            "signed_deviations": [[float(np.real(v)) for v in row]
-                                  for row in signed]
-            if np.isrealobj(signed)
-            else [[{"re": float(v.real), "im": float(v.imag)} for v in row]
-                  for row in signed],
+            "signed_deviations": signed,
             "pass": sup_norm(absolute) < tol,
         }
         all_pass = all_pass and entry["pass"]

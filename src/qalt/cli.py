@@ -1,17 +1,19 @@
 """Command-line front door.
 
 Subcommands: tableaux, rep, verify, rewrite, dim, classify, induce,
-symmetry.  Reports go to standard output as JSON (sorted keys, floats
-with 17 significant digits, so identical runs are byte-identical) or as
-indented text.  Exit codes: 0 success, 1 invalid input, 2 failed
-verification, 3 indeterminate numeric rank.
+symmetry.  Reports go to standard output as JSON or as indented text.
+The JSON is byte-identical across runs: keys sorted as strings, a
+two-space indent, ASCII escapes as by the `json` module, every float as
+`format(x, '.17g')` (so zero prints `0`, nan `nan`), and a 2-D ndarray
+as its rows, complex entries (all of `rep`'s) as {"im", "re"} objects.
+Exit codes: 0 success, 1 invalid input, 2 failed verification, 3
+indeterminate numeric rank.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from functools import cache
 
@@ -47,29 +49,89 @@ __all__ = ["main"]
 
 DEFAULT_MAX_N = 8
 
-_FLOAT_MARK = "@@float@@"
-_FLOAT_RE = re.compile(r'"@@float@@([^"]*)@@"')
+_encode_str = json.encoder.encode_basestring_ascii
 
 
 # ---------------------------------------------------------------------------
 # deterministic rendering
 
+def _json_scalar(obj) -> str:
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return repr(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".17g")
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _json_matrix(matrix: np.ndarray, nl: str) -> str:
+    """A 2-D array as its rows; a complex entry is an {"im", "re"} object."""
+    if matrix.ndim != 2:
+        raise TypeError(f"cannot serialize a {matrix.ndim}-D ndarray")
+    row_nl, cell_nl = nl + "  ", nl + "    "
+    flat = matrix.ravel().tolist()
+    if matrix.dtype.kind == "c":
+        cell = f'{{{cell_nl}  "im": %s,{cell_nl}  "re": %s{cell_nl}}}'
+        cells = [cell % (format(z.imag, ".17g"), format(z.real, ".17g"))
+                 for z in flat]
+    else:
+        cells = list(map(_json_scalar, flat))
+    k, sep = matrix.shape[1], "," + cell_nl
+    rows = [f"[{cell_nl}{sep.join(cells[i * k:i * k + k])}{row_nl}]"
+            if k else "[]" for i in range(len(matrix))]
+    return f"[{row_nl}{(',' + row_nl).join(rows)}{nl}]" if rows else "[]"
+
+
+def _json_lines(obj, nl: str, out: list) -> None:
+    if isinstance(obj, dict):
+        items = {str(k): v for k, v in obj.items()}
+        entries = [(_encode_str(k) + ": ", items[k]) for k in sorted(items)]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        entries, brackets = [("", v) for v in obj], "[]"
+    else:
+        out.append(_json_matrix(obj, nl) if isinstance(obj, np.ndarray)
+                   else _json_scalar(obj))
+        return
+    if not entries:
+        out.append(brackets)
+        return
+    inner = nl + "  "
+    lead = brackets[0] + inner
+    for label, value in entries:
+        out.append(lead + label)
+        _json_lines(value, inner, out)
+        lead = "," + inner
+    out.append(nl + brackets[1])
+
+
+def render_json(payload) -> str:
+    """The payload as indented JSON; see the module docstring."""
+    out = []
+    _json_lines(payload, "\n", out)
+    return "".join(out)
+
+
 def _normalize(obj):
-    """Coerce to plain JSON types, tagging floats with their 17-digit text."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, (np.bool_,)):
+    """Coerce to plain Python types for the text walk."""
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "c":
+            return [[{"re": z.real, "im": z.imag} for z in row]
+                    for row in obj.tolist()]
+        return obj.tolist()
+    if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return f"{_FLOAT_MARK}{format(float(obj), '.17g')}@@"
-    if isinstance(obj, str):
-        if _FLOAT_MARK in obj:
-            raise ValueError("report text collides with the float sentinel")
+        return float(obj)
+    if isinstance(obj, str) or obj is None:
         return obj
-    if obj is None:
-        return None
     if isinstance(obj, dict):
         return {str(k): _normalize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -77,14 +139,9 @@ def _normalize(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def render_json(payload) -> str:
-    text = json.dumps(_normalize(payload), sort_keys=True, indent=2)
-    return _FLOAT_RE.sub(lambda m: m.group(1), text)
-
-
 def _scalar_text(value) -> str:
-    if isinstance(value, str) and value.startswith(_FLOAT_MARK):
-        return value[len(_FLOAT_MARK):-2]
+    if isinstance(value, float):
+        return format(value, ".17g")
     if value is True:
         return "true"
     if value is False:

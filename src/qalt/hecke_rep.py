@@ -782,15 +782,9 @@ def dimension_certificate(n: int, q=Fraction(2)) -> dict:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _matrix_to_jsonable(matrix: np.ndarray) -> list:
-    out = []
-    for row in matrix:
-        out.append([{"re": float(np.real(v)), "im": float(np.imag(v))}
-                    for v in row])
-    return out
-
-
 def representation_to_jsonable(rep: Representation) -> dict:
+    """The CLI report of one representation; each generator matrix is a
+    complex ndarray, also in a real form."""
     return {
         "shape": rep.shape.text(),
         "form": rep.form,
@@ -798,6 +792,6 @@ def representation_to_jsonable(rep: Representation) -> dict:
         "n": rep.n,
         "dim": rep.dim,
         "basis": [t.text() for t in rep.basis],
-        "generator_matrices": [_matrix_to_jsonable(m)
+        "generator_matrices": [np.asarray(m, dtype=complex)
                                for m in rep.generator_matrices],
     }

@@ -1,5 +1,6 @@
 """Tests for the tableau-basis matrix representations."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from field_oracle import Q
 
 from qalt import hecke_rep
+from qalt.cli import render_json
 from qalt.scalars import QInteger, QPoint
 from qalt.tableaux import (
     YoungDiagram,
@@ -724,7 +726,7 @@ def test_small_branching_bound_falls_back_to_the_word_matrix(n, q,
 
 def test_representation_jsonable():
     rep = build_representation(parse_shape("2,1"), Fraction(2), "f")
-    data = representation_to_jsonable(rep)
+    data = json.loads(render_json(representation_to_jsonable(rep)))
     assert data["shape"] == "2,1"
     assert data["q"] == "2"
     assert data["basis"] == ["1,3/2", "1,2/3"]
