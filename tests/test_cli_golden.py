@@ -28,6 +28,12 @@ requests are:
 - `text`: `--output text` for one small request of each subcommand,
   with `rep` and `symmetry` also at q = 1+0.5i, where the entries are
   complex.
+- `word_checks`: `verify --seed 7` at n = 3, 4 and 7 for q in
+  {2, 5/7, 0.3, -0.9, 1+0.5i, 0.5i}; `verify --shape 3,2,1` and
+  `--shape 4,2,1` with `--seed 7` at q = 2 and 1+0.5i, where the word
+  checks still run over every shape of n; `verify --n 5 --seed 7` in the
+  forms g and sym, where they are skipped; and `verify --n 8 --seed 3`
+  at q = 2 and 1+0.5i.
 
 The rewrite, verify_seed and dim digests were recorded at commit
 da32be3, where every exact coefficient was built by gcd-reduced
@@ -48,6 +54,9 @@ non-scalar element of its solved commutant.  The rep and text digests
 were recorded at commit 1b6771a, where the JSON renderer tagged each
 float with a sentinel string, ran the `json` module's encoder and
 stripped the tags again, and the text renderer stripped the same tags.
+The word_checks digests were recorded at commit 3533bb0, where the
+seeded word checks multiplied every word and every normal-form monomial
+letter by letter, once per shape.
 
 To record groups again, run from the root of the repository, naming
 the groups:
@@ -82,6 +91,7 @@ INDUCE_LABELS = ("4,2", "3,2,1:plus")
 OFFSAMPLE_Q = ("-0.9", "-0.99", "-1.01", "0.5i", "1")
 FRONTIER_Q = ("2", "0.3", "1+0.5i", "-0.9", "0.5i")
 REP_Q = ("2", "0.3", "1+0.5i")
+WORD_CHECK_Q = ("2", "5/7", "0.3", "-0.9", "1+0.5i", "0.5i")
 TEXT_REQUESTS = (
     ["tableaux", "--n", "4"],
     ["tableaux", "--shape", "3,1"],
@@ -133,10 +143,18 @@ def requests() -> dict:
     rep += [["rep", "--shape", shape, "--q", q]
             for shape in ("4,2,1", "3,2,1,1") for q in ("2", "1+0.5i")]
     text = [argv + ["--output", "text"] for argv in TEXT_REQUESTS]
+    word_checks = [["verify", "--n", str(n), "--q", q, "--seed", "7"]
+                   for n in (3, 4, 7) for q in WORD_CHECK_Q]
+    word_checks += [["verify", "--shape", shape, "--q", q, "--seed", "7"]
+                    for shape in ("3,2,1", "4,2,1") for q in ("2", "1+0.5i")]
+    word_checks += [["verify", "--n", "5", "--q", "2", "--form", form,
+                     "--seed", "7"] for form in ("g", "sym")]
+    word_checks += [["verify", "--n", "8", "--q", q, "--seed", "3"]
+                    for q in ("2", "1+0.5i")]
     return {"rewrite": rewrite, "verify_seed": verify, "dim": dim,
             "classify": classify, "induce": induce, "symmetry": symmetry,
             "classify_offsample": offsample, "frontier": frontier,
-            "rep": rep, "text": text}
+            "rep": rep, "text": text, "word_checks": word_checks}
 
 
 def record(argv: list) -> dict:
