@@ -6,14 +6,15 @@ The JSON is byte-identical across runs: keys sorted as strings, a
 two-space indent, ASCII escapes as by the `json` module, every float as
 `format(x, '.17g')` (so zero prints `0`, nan `nan`), and a 2-D ndarray
 as its rows, complex entries (all of `rep`'s) as {"im", "re"} objects.
-Exit codes: 0 success, 1 invalid input, 2 failed verification, 3
-indeterminate numeric rank.
+Exit codes: 0 success, 1 invalid input or a reader that closed the
+output pipe early, 2 failed verification, 3 indeterminate numeric rank.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
@@ -48,6 +49,12 @@ from .alt_decompose import (
 __all__ = ["main"]
 
 DEFAULT_MAX_N = 8
+
+# The most matrix entries that the seeded word checks hold as prefix
+# images of one shape at a time, 4 MB of complex entries; a single word's
+# prefixes may hold more.  At n = 8 and q = 1+0.5i all of them at once
+# doubled the peak RSS of `verify --seed`.
+WORD_CHECK_ENTRIES = 1 << 18
 
 _encode_str = json.encoder.encode_basestring_ascii
 
@@ -186,11 +193,17 @@ def render_text(payload) -> str:
     return "\n".join(lines)
 
 
-def _emit(payload, output: str) -> None:
-    if output == "json":
-        print(render_json(payload))
-    else:
-        print(render_text(payload))
+def _emit(payload, output: str) -> bool:
+    """Print the report; False when the reader closed the pipe early."""
+    text = render_json(payload) if output == "json" else render_text(payload)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; let that go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -320,28 +333,102 @@ def cmd_rep(args):
     return representation_to_jsonable(rep), None
 
 
-def _seeded_word_checks(n, q, tol, seed, samples=20, length=10):
+def _word_chunks(need: list, depth: np.ndarray, per_matrix: int):
+    """Consecutive runs of words whose trie nodes together hold at most
+    WORD_CHECK_ENTRIES entries of per_matrix each (a word alone may hold
+    more), each run with its nodes ordered by depth.  need[w] is the set
+    of nodes of word w, depth[node] the length of its prefix."""
+    def by_depth(nodes):
+        nodes = np.fromiter(nodes, np.intp)
+        return nodes[np.argsort(depth[nodes], kind="stable")]
+
+    if len(depth) * per_matrix <= WORD_CHECK_ENTRIES:
+        yield range(len(need)), by_depth(range(len(depth)))
+        return
+    start, held = 0, set()
+    for w, nodes in enumerate(need):
+        if held and len(held | nodes) * per_matrix > WORD_CHECK_ENTRIES:
+            yield range(start, w), by_depth(held)
+            start, held = w, set()
+        held |= nodes
+    yield range(start, len(need)), by_depth(held)
+
+
+def _seeded_word_checks(n, q, tol, seed, reps=None, samples=20, length=10):
+    """Seeded random word checks of the f-form against the exact rewriting.
+
+    Draws `samples` y-words of `length` letters from
+    numpy.random.default_rng(seed), one scalar draw per letter, and on
+    every shape of n compares the image of each word with the image of its
+    normal form at q; the report passes when the largest entry of every
+    difference is below tol.  reps, when given, are the f-form
+    representations of the shapes of n in the order of enumerate_diagrams.
+
+    Each word and each normal-form monomial is a path in one prefix trie,
+    planned once.  A shape's images of the trie's nodes are formed one
+    stacked matmul per prefix length, from the identity, left to right:
+    the chain of 2-D products that multiplying letter by letter forms, so
+    the residuals are those of the letter-by-letter products, bit for bit.
+    Where a shape's nodes would hold more than WORD_CHECK_ENTRIES matrix
+    entries, the words are checked in consecutive chunks that fit.
+    """
+    if reps is None:
+        reps = [build_representation(shape, q, "f")
+                for shape in enumerate_diagrams(n)]
     rng = np.random.default_rng(seed)
     qv = complex(q) if isinstance(q, complex) else float(q)
-    restrictions = [restrict(build_representation(shape, q, "f"))
-                    for shape in enumerate_diagrams(n)]
+    words = [[int(rng.integers(1, n - 1)) for _ in range(length)]
+             for _ in range(samples)]
+    # the trie: node 0 is the empty word; child[node][letter - 1] is 0 when
+    # absent, since the root is nobody's child
+    child, parent, letter, depth = [[0] * (n - 2)], [0], [0], [0]
+
+    def insert(letters, nodes):
+        node = 0
+        for k, y in enumerate(letters, 1):
+            if not child[node][y - 1]:
+                child[node][y - 1] = len(parent)
+                child.append([0] * (n - 2))
+                parent.append(node)
+                letter.append(y - 1)
+                depth.append(k)
+            node = child[node][y - 1]
+            nodes.add(node)
+        return node
+
+    word_node, term_nodes, values, need = [], [], [], []
+    for word in words:
+        nodes = {0}
+        word_node.append(insert(word, nodes))
+        terms = rewrite_y_word(word, n).terms
+        term_nodes.append([insert(NormalFormMonomial(code).letters(), nodes)
+                           for code in terms])
+        values.append([coeff.evaluate(qv) for coeff in terms.values()])
+        need.append(nodes)
+    parent, letter, depth = map(np.array, (parent, letter, depth))
+
     worst = 0.0
-    for _ in range(samples):
-        word = [int(rng.integers(1, n - 1)) for _ in range(length)]
-        # each monomial's letters and coefficient value, once per word
-        terms = [(NormalFormMonomial(code).letters(), coeff.evaluate(qv))
-                 for code, coeff in rewrite_y_word(word, n).terms.items()]
-        for r in restrictions:
-            direct = np.eye(r.dim, dtype=r.y_matrices[0].dtype)
-            for letter in word:
-                direct = direct @ r.y_matrices[letter - 1]
-            image = np.zeros_like(direct)
-            for letters, value in terms:
-                m = np.eye(r.dim, dtype=direct.dtype)
-                for letter in letters:
-                    m = m @ r.y_matrices[letter - 1]
-                image = image + value * m
-            worst = max(worst, sup_norm(direct - image))
+    for rep in reps:
+        ys = restrict(rep).stacked
+        dim = rep.dim
+        for chunk, nodes in _word_chunks(need, depth, dim * dim):
+            local = np.empty(len(parent), np.intp)
+            local[nodes] = np.arange(len(nodes))
+            img = np.empty((len(nodes), dim, dim), ys.dtype)
+            img[0] = np.eye(dim, dtype=ys.dtype)
+            levels = np.searchsorted(depth[nodes],
+                                     np.arange(1, depth[nodes[-1]] + 2))
+            for a, b in zip(levels[:-1].tolist(), levels[1:].tolist()):
+                at = nodes[a:b]
+                np.matmul(img[local[parent[at]]], ys[letter[at]],
+                          out=img[a:b])
+            for w in chunk:
+                direct = img[local[word_node[w]]]
+                image = np.zeros_like(direct)
+                for row, value in zip(local[term_nodes[w]].tolist(),
+                                      values[w]):
+                    image = image + value * img[row]
+                worst = max(worst, sup_norm(direct - image))
     return {
         "seed": seed,
         "samples": samples,
@@ -360,8 +447,11 @@ def cmd_verify(args):
         n = _need(args, "n")
         _check_cap(n, args.max_n)
         shapes = enumerate_diagrams(n)
-    reports = [verify_relations(build_representation(s, q, args.form),
-                                tol=args.tol) for s in shapes]
+    seeded = args.seed is not None and args.form == "f" and n >= 3
+    reps = (build_representation(s, q, args.form) for s in shapes)
+    if seeded and args.shape is None:
+        reps = list(reps)   # the word checks run on the same shapes
+    reports = [verify_relations(rep, tol=args.tol) for rep in reps]
     payload = {
         "n": n,
         "q": reports[0]["q"],
@@ -371,8 +461,10 @@ def cmd_verify(args):
         "max_residual": max(r["max_residual"] for r in reports),
         "pass": all(r["pass"] for r in reports),
     }
-    if args.seed is not None and args.form == "f" and n >= 3:
-        checks = _seeded_word_checks(n, q, max(args.tol, 1e-9), args.seed)
+    if seeded:
+        # with --shape the word checks still cover every shape of n
+        checks = _seeded_word_checks(n, q, max(args.tol, 1e-9), args.seed,
+                                     reps if args.shape is None else None)
         payload["word_checks"] = checks
         payload["pass"] = payload["pass"] and checks["pass"]
     return payload, payload["pass"]
@@ -467,7 +559,8 @@ def main(argv=None) -> int:
         # a finite q whose powers or float value leave the double range
         print(f"error: out of floating-point range: {exc}", file=sys.stderr)
         return 1
-    _emit(payload, args.output)
+    if not _emit(payload, args.output):
+        return 1
     if passed is False:
         print("verification failed", file=sys.stderr)
         return 2

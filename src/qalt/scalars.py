@@ -88,10 +88,14 @@ class Polynomial:
         """Horner evaluation; exact for Fraction input, float otherwise."""
         if self.is_zero:
             return Fraction(0) if isinstance(value, (int, Fraction)) else 0.0 * value
-        acc = self.coeffs[-1]
+        coeffs = reversed(self.coeffs)
         if not isinstance(value, (int, Fraction)):
-            acc = complex(acc) if isinstance(value, complex) else float(acc)
-        for c in reversed(self.coeffs[:-1]):
+            # acc * value + c with a Fraction c adds float(c) (or complex(c))
+            # anyway, via Fraction.__radd__; converting first skips that
+            coeffs = map(complex if isinstance(value, complex) else float,
+                         coeffs)
+        acc = next(coeffs)
+        for c in coeffs:
             acc = acc * value + c
         return acc
 

@@ -6,12 +6,19 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qalt
-from qalt import hecke_rep
+from qalt import cli, hecke_rep
+from qalt.alt_decompose import restrict
 from qalt.cli import _COMMANDS, build_parser, main
-from qalt.hecke_rep import IndeterminateRankError
+from qalt.hecke_rep import IndeterminateRankError, build_representation, sup_norm
+from qalt.scalars import parse_q
+from qalt.tableaux import enumerate_diagrams
+from qalt.word_algebra import NormalFormMonomial, rewrite_y_word
 
 
 def run(capsys, *argv):
@@ -128,6 +135,69 @@ def test_verify_with_word_checks(capsys):
     assert data["pass"] is True
     assert data["word_checks"]["pass"] is True
     assert data["word_checks"]["samples"] == 20
+
+
+def letter_by_letter_checks(n, q, tol, seed, samples=20, length=10):
+    """The seeded word checks as first written: every word and every
+    normal-form monomial multiplied letter by letter, once per shape."""
+    rng = np.random.default_rng(seed)
+    qv = complex(q) if isinstance(q, complex) else float(q)
+    restrictions = [restrict(build_representation(shape, q, "f"))
+                    for shape in enumerate_diagrams(n)]
+    worst = 0.0
+    for _ in range(samples):
+        word = [int(rng.integers(1, n - 1)) for _ in range(length)]
+        terms = [(NormalFormMonomial(code).letters(), coeff.evaluate(qv))
+                 for code, coeff in rewrite_y_word(word, n).terms.items()]
+        for r in restrictions:
+            direct = np.eye(r.dim, dtype=r.y_matrices[0].dtype)
+            for letter in word:
+                direct = direct @ r.y_matrices[letter - 1]
+            image = np.zeros_like(direct)
+            for letters, value in terms:
+                m = np.eye(r.dim, dtype=direct.dtype)
+                for letter in letters:
+                    m = m @ r.y_matrices[letter - 1]
+                image = image + value * m
+            worst = max(worst, sup_norm(direct - image))
+    return {"seed": seed, "samples": samples, "word_length": length,
+            "max_residual": worst, "pass": worst < tol}
+
+
+# real, rational, complex and near -1
+WORD_CHECK_Q = ("2", "0.3", "1.7", "3/2", "5/7", "1+0.5i", "0.5i",
+                "-0.9", "-0.99", "-1.01")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 7), st.integers(0, 2**32 - 1),
+       st.sampled_from(WORD_CHECK_Q))
+def test_word_checks_match_letter_by_letter_products(n, seed, q_text):
+    q = parse_q(q_text)
+    assert (cli._seeded_word_checks(n, q, 1e-9, seed)
+            == letter_by_letter_checks(n, q, 1e-9, seed))
+
+
+@pytest.mark.parametrize("n, q_text", [(5, "1+0.5i"), (6, "2"), (6, "-0.9")])
+def test_word_checks_in_chunks_of_one_word(monkeypatch, n, q_text):
+    q = parse_q(q_text)
+    expected = letter_by_letter_checks(n, q, 1e-9, 5)
+    monkeypatch.setattr(cli, "WORD_CHECK_ENTRIES", 1)
+    assert cli._seeded_word_checks(n, q, 1e-9, 5) == expected
+
+
+def test_word_chunks_fit_the_entry_limit(monkeypatch):
+    # nodes 0..6 at depths 0, 1, 2, 2, 1, 2, 3; each node one entry
+    need = [{0, 1, 2}, {0, 1, 3}, {0, 4, 5, 6}]
+    depth = np.array([0, 1, 2, 2, 1, 2, 3])
+    monkeypatch.setattr(cli, "WORD_CHECK_ENTRIES", 4)
+    chunks = [(list(words), nodes.tolist())
+              for words, nodes in cli._word_chunks(need, depth, 1)]
+    assert chunks == [([0, 1], [0, 1, 2, 3]), ([2], [0, 4, 5, 6])]
+    monkeypatch.setattr(cli, "WORD_CHECK_ENTRIES", 7)
+    chunks = [(list(words), nodes.tolist())
+              for words, nodes in cli._word_chunks(need, depth, 1)]
+    assert chunks == [([0, 1, 2], [0, 1, 4, 2, 3, 5, 6])]
 
 
 def test_verify_failure_exits_two(capsys):
@@ -305,12 +375,38 @@ def test_missing_required_flag(capsys):
     assert err.strip()
 
 
-def test_module_entry_point():
-    # the child process imports the same qalt as this test, installed or not
+def child_env() -> dict:
+    """The environment of a child process that imports the same qalt as
+    this test, installed or not."""
     src = os.path.dirname(os.path.dirname(qalt.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qalt.cli", "dim", "--n", "4", "--q", "2"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_closed_pipe_exits_quietly():
+    # the report (about 440 kB) outgrows the pipe buffer, so the child is
+    # still writing when the reader closes its end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qalt.cli", "rep", "--shape", "4,2,1",
+         "--q", "1+0.5i"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert b"Traceback" not in err
+    assert b"BrokenPipeError" not in err
+    assert code == 1

@@ -1,9 +1,12 @@
 """Tests for exact values (polynomials, rational functions, q-integers)
 and for admissible and parsed values of q."""
 
+import struct
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from field_oracle import Q, is_canonical_over_q_power, is_canonical_ring
 
 from qalt.scalars import (
@@ -80,6 +83,52 @@ def test_rf_evaluate_in_inverse_q_matches_direct_horner():
     for q in (1e3, -7.5, 2 + 3j, 1e20):
         direct = f.evaluate(q)
         assert abs(f._evaluate_in_inverse(q) - direct) <= 1e-14 * abs(direct)
+
+
+def horner_through_fractions(p: Polynomial, value):
+    """Polynomial.evaluate at a float or complex value as first written:
+    each lower Fraction coefficient added through Fraction.__radd__."""
+    if p.is_zero:
+        return 0.0 * value
+    acc = p.coeffs[-1]
+    acc = complex(acc) if isinstance(value, complex) else float(acc)
+    for c in reversed(p.coeffs[:-1]):
+        acc = acc * value + c
+    return acc
+
+
+def outcome(f, *args):
+    """The type and bits of f's value, or its exception and message."""
+    try:
+        z = complex(value := f(*args))
+    except OverflowError as exc:
+        return "raises", str(exc)
+    return type(value), struct.pack("<dd", z.real, z.imag)
+
+
+finite = st.floats(-1e6, 1e6)
+values = st.one_of(st.floats(), st.builds(complex, finite, finite),
+                   st.sampled_from([-0.0, 1e-300, 1e300, -1.0 + 1e-9j]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(max_denominator=10**6)
+                | st.integers(-10**30, 10**30).map(Fraction), max_size=8),
+       values)
+def test_float_horner_is_bit_identical_to_the_fraction_loop(coeffs, value):
+    p = Polynomial(coeffs)
+    assert outcome(p.evaluate, value) == outcome(horner_through_fractions,
+                                                 p, value)
+
+
+@pytest.mark.parametrize("value", [2.0, 0.5 + 1j])
+@pytest.mark.parametrize("coeffs", [(1, 10**400), (10**400, 1),
+                                    (Fraction(10**400, 3), 0, 1)])
+def test_float_horner_overflow_message_unchanged(coeffs, value):
+    p = poly(*coeffs)
+    expected = outcome(horner_through_fractions, p, value)
+    assert expected[0] == "raises"
+    assert outcome(p.evaluate, value) == expected
 
 
 # -- q-integers --------------------------------------------------------------
