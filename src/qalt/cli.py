@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -357,12 +357,14 @@ def _word_chunks(need: list, depth: np.ndarray, per_matrix: int):
 def _seeded_word_checks(n, q, tol, seed, reps=None, samples=20, length=10):
     """Seeded random word checks of the f-form against the exact rewriting.
 
-    Draws `samples` y-words of `length` letters from
+    Draws `samples` (20) y-words of `length` (10) letters from
     numpy.random.default_rng(seed), one scalar draw per letter, and on
     every shape of n compares the image of each word with the image of its
     normal form at q; the report passes when the largest entry of every
-    difference is below tol.  reps, when given, are the f-form
-    representations of the shapes of n in the order of enumerate_diagrams.
+    difference is below tol.  `verify --seed` runs it only in the f-form,
+    on every shape of n even when --shape is given, with tol
+    max(--tol, 1e-9).  reps, when given, are the f-form representations
+    of the shapes of n in the order of enumerate_diagrams.
 
     Each word and each normal-form monomial is a path in one prefix trie,
     planned once.  A shape's images of the trie's nodes are formed one
@@ -448,10 +450,11 @@ def cmd_verify(args):
         _check_cap(n, args.max_n)
         shapes = enumerate_diagrams(n)
     seeded = args.seed is not None and args.form == "f" and n >= 3
-    reps = (build_representation(s, q, args.form) for s in shapes)
+    reps = map(partial(build_representation, q=q, form=args.form), shapes)
     if seeded and args.shape is None:
         reps = list(reps)   # the word checks run on the same shapes
-    reports = [verify_relations(rep, tol=args.tol) for rep in reps]
+    # map, unlike a for loop, lets go of each rep before building the next
+    reports = list(map(partial(verify_relations, tol=args.tol), reps))
     payload = {
         "n": n,
         "q": reports[0]["q"],
