@@ -15,7 +15,11 @@ import qalt
 from qalt import cli, hecke_rep
 from qalt.alt_decompose import restrict
 from qalt.cli import _COMMANDS, build_parser, main
-from qalt.hecke_rep import IndeterminateRankError, build_representation, sup_norm
+from qalt.hecke_rep import (
+    IndeterminateRankError,
+    build_representation,
+    sup_norm,
+)
 from qalt.scalars import parse_q
 from qalt.tableaux import enumerate_diagrams
 from qalt.word_algebra import NormalFormMonomial, rewrite_y_word
