@@ -24,31 +24,24 @@ classification, and per-entry transpose-symmetry deviations of the
 restricted matrices are reported with signs (only absolute values are
 asserted; the off-diagonal signs depend on the square-root convention).
 
-The commutant of a shape restriction is the one system solved here, by
-the index-2 split and without forming the d^2-column Kronecker matrix.
-A_n(q) has index 2 in H_n(q), and X -> F1_μ X F1_λ (F1_λ the matrix of
-f_1 on V_λ) is an involution of Hom_A(Res V_λ, Res V_μ) whose +1 part is
-Hom_H(V_λ, V_μ) and whose -1 part is Hom_H(V_λ, V_μ (x) sgn),
-sgn: f -> -f (Clifford theory of an index-2 subalgebra).  So Hom = 0
-unless μ is λ or ^tλ: restrictions of shapes of different transpose
-pairs, and the labels they carry, are inequivalent.  On Young's
-seminormal basis, the Jucys-Murphy eigenbasis (Ram 1997), an element of
-the +1 part is diagonal and one of the -1 part is the transpose
-permutation P times a diagonal.  For μ = λ, _commutant solves
-X F_i = F_i X for diagonal X and, when λ is self-conjugate,
-X F_i = -F_i X for X = P diag(x), each a sparse system in d unknowns,
-and checks each solution's residual against the Y_i.
-
-classify needs one commutant solve per transpose pair and none for the
-halves or for the pairwise inequivalences, and the induction
-multiplicities are read off its report.  Every rank or nullity decision
-goes through hecke_rep.numeric_rank or hecke_rep.nullspace, whose
-singular-value threshold has an explicit gap guard: a spectrum without a
-clear gap raises IndeterminateRankError instead of guessing.  Residuals
-(of each commutant solution, of the transpose witness, and of the
-split halves' invariance) are tested against tol times the larger of 1
-and the generators' largest norm bound, since their rounding error grows
-with the entries, which reach about 4e4 near q = -1.
+The commutant of a shape restriction is read off the tableau graph, with
+no linear solve.  A_n(q) has index 2 in H_n(q), and X -> F1_μ X F1_λ
+(F1_λ the matrix of f_1 on V_λ) is an involution of
+Hom_A(Res V_λ, Res V_μ) whose +1 part is Hom_H(V_λ, V_μ) and whose -1
+part is Hom_H(V_λ, V_μ (x) sgn), sgn: f -> -f (Clifford theory of an
+index-2 subalgebra).  So Hom = 0 unless μ is λ or ^tλ, and labels of
+different transpose pairs are inequivalent.  On Young's seminormal
+basis, the Jucys-Murphy eigenbasis (Ram 1997), the +1 part is diagonal
+and the -1 part is the transpose permutation P times a diagonal.  A
+diagonal X commutes with every F_i exactly when x_a = x_b on each mixed
+pair (a, b): the +1 part has one row per component of the graph of the
+mixed pairs, which is connected (each standard tableau reaches the
+row-reading one by s_i that keep it standard).  The -1 part is fixed
+along the same edges up to scale, so the transpose witness spans it.  An
+edge is kept by its own margin (_live_edges), not by a cutoff relative
+to the largest entry, which grows like 1/(1+q)^2 near q = -1.  Residuals
+are tested against tol times the larger of 1 and the generators' largest
+norm bound, since their rounding error grows with the entries.
 """
 
 from __future__ import annotations
@@ -60,10 +53,13 @@ from functools import cached_property
 import numpy as np
 
 from .hecke_rep import (
+    GAP_GUARD,
+    RANK_THRESHOLD,
     IndeterminateRankError,
     Representation,
+    _components,
+    _skeleton,
     build_representation,
-    nullspace,
     sup_norm,
     transpose_witness,
 )
@@ -89,146 +85,137 @@ __all__ = [
 class RestrictedRep:
     """Even-subalgebra generator matrices Y_i = F_1 F_{i+1} of one shape.
 
-    source is the shape's f-form representation, whose F_i the commutant
-    solve works on.  The stacked Y_i and their norm_bounds are computed on
-    first use and live as long as the record: no q-dependent record is
-    cached across requests.  Only the q-independent skeleton of the shape
-    (its tableau basis, generator patterns and transpose witness, see
-    hecke_rep._skeleton) is kept for the process.
+    source is the shape's f-form representation, on whose F_i the
+    commutant and the witness residuals are taken.  The Y_i and the
+    norm_bounds are computed on first use and live as long as the record;
+    only the q-independent skeleton (hecke_rep._skeleton) is kept for the
+    process.
     """
 
     source: Representation
-    y_matrices: tuple[np.ndarray, ...]
 
     @property
     def dim(self) -> int:
         return self.source.dim
 
     @cached_property
-    def stacked(self) -> np.ndarray:
-        return np.stack(self.y_matrices)
+    def y_matrices(self) -> tuple[np.ndarray, ...]:
+        mats = self.source.generator_matrices
+        return tuple(mats[0] @ mats[i] for i in range(1, len(mats)))
 
     @cached_property
     def norm_bounds(self) -> np.ndarray:
-        return _norm_bounds(self.stacked)
+        """sqrt(|F|_1 |F|_inf) >= |F|_2 for each F_i; they bound the Y_i
+        too, which are the F_i up to signs since F_1 = diag(+-1)."""
+        return _norm_bounds(self.source.generator_matrices)
 
 
 def restrict(rep: Representation) -> RestrictedRep:
     """Matrices of y_i = f_1 f_{i+1}; empty generator list for n = 2."""
     if rep.form != "f":
         raise ValueError("restriction needs the f-form")
-    mats = rep.generator_matrices
-    ys = tuple(mats[0] @ mats[i] for i in range(1, rep.n - 1))
-    return RestrictedRep(rep, ys)
+    return RestrictedRep(rep)
 
 
 # ---------------------------------------------------------------------------
-# the commutant solve
+# the commutant from the tableau graph
 
-def _norm_bounds(m: np.ndarray) -> np.ndarray:
-    """sqrt(|M|_1 |M|_inf) for each stacked matrix, a bound of its |M|_2."""
-    absm = np.abs(m)
-    return np.sqrt(absm.sum(axis=1).max(axis=1) * absm.sum(axis=2).max(axis=1))
+def _norm_bounds(mats) -> np.ndarray:
+    return np.array([math.sqrt(m.sum(0).max() * m.sum(1).max())
+                     for m in map(np.abs, mats)])
 
 
 def _residual_limit(tol: float, *sides: RestrictedRep) -> float:
-    """tol times the larger of 1 and the sides' largest generator norm bound.
-
-    The rounding error of a product with the generators grows with their
-    size, which reaches about 4e4 near q = -1.
-    """
+    """tol times the larger of 1 and the sides' largest generator norm bound:
+    rounding errors grow with the entries, about 4e4 near q = -1."""
     return tol * max(1.0, *(float(side.norm_bounds.max()) for side in sides))
 
 
-def _split_system(f, index: np.ndarray, sign: int) -> np.ndarray:
-    """The system X F_i = sign F_i X in the unknowns x of X = P diag(x),
-    P the permutation with P[index[k], k] = 1.
+def _live_edges(rep: Representation) -> np.ndarray:
+    """Which mixed pairs (a, b) of the skeleton are edges, by the margin
+    |F_i[a,b]| / max(|F_i[a,a]|, |F_i[a,b]|): live at or above GAP_GUARD
+    RANK_THRESHOLD, dropped below RANK_THRESHOLD or at exactly 0, and
+    IndeterminateRankError in between."""
+    gen, anchor, partner = _skeleton(rep.shape).pairs
+    off, diagonal = values = np.empty((2, gen.size))
+    for i, f in enumerate(rep.generator_matrices):
+        here = gen == i
+        a, b = anchor[here], partner[here]
+        values[:, here] = np.abs([f[a, b], f[a, a]])
+    margin = np.divide(off, np.maximum(off, diagonal),
+                       out=np.zeros_like(off), where=off > 0)
+    undecided = np.flatnonzero((margin >= RANK_THRESHOLD)
+                               & (margin < GAP_GUARD * RANK_THRESHOLD))
+    if undecided.size:
+        k = undecided[np.argmin(margin[undecided])]
+        raise IndeterminateRankError(
+            f"a mixed pair of f_{gen[k] + 1} on {rep.shape.text()} has "
+            f"margin {margin[k]:.3e}, between the cutoff "
+            f"{RANK_THRESHOLD:.0e} and {GAP_GUARD * RANK_THRESHOLD:.0e}")
+    return margin >= GAP_GUARD * RANK_THRESHOLD
 
-    Entry (index[k], l) of the equation reads
-    F_i[k, l] x_k - sign F_i[index[k], index[l]] x_l = 0; there is one
-    row for each (i, k, l) where either matrix has a nonzero entry, so a
-    row has at most two nonzeros and the rows number at most 2(n-1)d.
-    """
-    blocks = []
-    for a in f:
-        b = a[np.ix_(index, index)]
-        ks, ls = np.nonzero((a != 0) | (b != 0))
-        rows = np.arange(ks.size)
-        block = np.zeros((ks.size, len(a)), dtype=a.dtype)
-        block[rows, ks] = a[ks, ls]
-        block[rows, ls] -= sign * b[ks, ls]
-        blocks.append(block)
-    return np.vstack(blocks)
+
+def _witness_residual(rep: Representation, onto: Representation) -> float:
+    """max_i |onto(F_i) X + X rep(F_i)| for the transpose witness X =
+    P diag(signs), P[index[k], k] = 1, without forming X: row index[k] of
+    the sum is onto(F_i)[index[k], index] signs + signs[k] rep(F_i)[k]."""
+    index, signs = transpose_witness(rep, onto)
+    grid = np.ix_(index, index)
+    return max((sup_norm(b[grid] * signs + signs[:, None] * a) for a, b
+                in zip(rep.generator_matrices, onto.generator_matrices)),
+               default=0.0)
 
 
 def _commutant(r: RestrictedRep, tol: float) -> np.ndarray:
-    """Orthonormal basis rows of {X : X Y_i = Y_i X}, X flattened, by the
-    index-2 split.
-
-    The +1 part is solved on diagonal X and, for a self-conjugate shape,
-    the -1 part on X = P diag(x), P the transpose permutation of
-    hecke_rep.transpose_witness.  No tableau is its own transpose, so the
-    two parts have disjoint supports and the rows are orthonormal.  A
-    solution whose residual max_i |Y_i X - X Y_i| exceeds
-    _residual_limit(tol) raises IndeterminateRankError.
-    """
+    """Orthonormal basis rows of {X : X Y_i = Y_i X}, X flattened: one
+    row diag(1_C) / sqrt|C| per component C of the graph of live mixed
+    pairs, refused with IndeterminateRankError if its residual on the F_i
+    exceeds _residual_limit(tol), and on a self-conjugate shape the
+    transpose witness P diag(signs) / sqrt(d) if its residual is within
+    it.  No tableau is its own transpose: the supports are disjoint."""
     rep = r.source
-    parts = [(np.arange(rep.dim), 1)]
-    if rep.shape.is_self_conjugate:
-        parts.append((transpose_witness(rep, rep)[0], -1))
+    dim, k = rep.dim, np.arange(rep.dim)
+    skeleton = _skeleton(rep.shape)
+    live = _live_edges(rep)
+    labels = skeleton.components if live.all() else _components(
+        dim, *skeleton.pairs[1:, live])
+    sizes = np.bincount(labels)
+    rows = np.zeros((sizes.size + rep.shape.is_self_conjugate, dim, dim))
+    rows[labels, k, k] = 1 / np.sqrt(sizes[labels])
     limit = _residual_limit(tol, r)
-    rows = []
-    for index, sign in parts:
-        system = _split_system(rep.generator_matrices, index, sign)
-        for x in nullspace(system):
-            residual = _permutation_residual(index, x, r, r)
-            if not residual <= limit:
-                raise IndeterminateRankError(
-                    f"a split-route solution in the commutant of "
-                    f"{rep.shape.text()} has residual {residual:.3e}, above "
-                    f"the tolerance {limit:.1e}")
-            x_matrix = np.zeros((rep.dim, rep.dim), dtype=x.dtype)
-            x_matrix[index, np.arange(rep.dim)] = x
-            rows.append(x_matrix.ravel())
-    return np.array(rows).reshape(len(rows), rep.dim ** 2)
+    if sizes.size > 1:      # one component: the identity commutes exactly
+        residual = max(sup_norm(f @ x - x @ f) for x in rows[:sizes.size]
+                       for f in rep.generator_matrices)
+        if not residual <= limit:
+            raise IndeterminateRankError(
+                f"a commutant row of {rep.shape.text()} has residual "
+                f"{residual:.3e} on the f_i, above the tolerance {limit:.1e}")
+    if rep.shape.is_self_conjugate:
+        index, signs = transpose_witness(rep, rep)
+        rows[-1, index, k] = signs / math.sqrt(dim)
+        if not _witness_residual(rep, rep) <= limit:
+            rows = rows[:-1]
+    return rows.reshape(len(rows), dim * dim)
 
 
 def commutant_dimension(r, tol: float = 1e-10) -> int:
     """Dimension of {X : X commutes with every generator matrix}.
 
     r must be a shape restriction; anything else raises ValueError.  1
-    means irreducible, and a self-conjugate shape gives 2.  The solve is
-    _commutant(r, tol), so a solution whose residual exceeds
-    _residual_limit(tol) raises IndeterminateRankError.  Without
-    generators (n = 2, where every representation is one-dimensional) the
-    answer is 1.  A solve that returns no solution at all has lost the
-    identity, which always commutes, and raises IndeterminateRankError.
+    means irreducible, and a self-conjugate shape gives 2.  It counts the
+    rows of _commutant(r, tol), which raises IndeterminateRankError where
+    the graph is undecided.  Without generators (n <= 2) the answer is 1.
     """
     if not isinstance(r, RestrictedRep):
-        raise ValueError("a commutant solve takes shape restrictions, not "
-                         "raw matrix sequences")
-    if not r.y_matrices:
+        raise ValueError("the commutant is read off a shape restriction, "
+                         "not raw matrix sequences")
+    if r.source.n < 3:
         return 1
-    dim = len(_commutant(r, tol))
-    if dim == 0:
-        raise IndeterminateRankError(
-            f"the commutant solve of a dimension-{r.dim} restriction "
-            f"found no solution, not even the identity")
-    return dim
+    return len(_commutant(r, tol))
 
 
 # ---------------------------------------------------------------------------
 # the transpose witness: equivalence of transpose pairs, self-conjugate split
-
-def _permutation_residual(index: np.ndarray, x: np.ndarray,
-                          r1: RestrictedRep, r2: RestrictedRep) -> float:
-    """max_i |Y2_i X - X Y1_i| for X = P diag(x), P[index[k], k] = 1,
-    without forming X: the transpose witness, or a commutant solution."""
-    a, b = r1.stacked, r2.stacked
-    xa = np.empty(a.shape, dtype=np.result_type(a, b, x))
-    xa[:, index] = x[:, None] * a
-    return sup_norm(b[:, :, index] * x - xa)
-
 
 def split_self_conjugate(r: RestrictedRep, tol: float = 1e-10):
     """Two invariant halves of a self-conjugate restriction.
@@ -252,7 +239,8 @@ def split_self_conjugate(r: RestrictedRep, tol: float = 1e-10):
     root = 1.0 if signs[ks[0]] * signs[mates[0]] > 0 else 1j
 
     def half(mu) -> np.ndarray:
-        basis = np.zeros((dim, ks.size), dtype=np.result_type(mu, r.stacked))
+        basis = np.zeros((dim, ks.size),
+                         dtype=np.result_type(mu, r.y_matrices[0]))
         cols = np.arange(ks.size)
         basis[ks, cols] = 1 / math.sqrt(2)
         basis[mates, cols] = mu * signs[mates] / math.sqrt(2)
@@ -311,17 +299,17 @@ def classify(n: int, q, tol: float = 1e-10) -> DecompositionReport:
     One label per transpose pair of shapes (anchored at the shape with the
     larger rows, the first in enumeration order), two labels per
     self-conjugate shape.  Verifies, per anchor, the commutant dimension
-    of its restriction: 1, or 2 for a self-conjugate shape (a solution
-    with residual above _residual_limit(tol) raises
-    IndeterminateRankError).  Verifies the transpose-pair equivalences (the transpose
-    witness's residual within _residual_limit(tol) of the pair), the split
-    of each self-conjugate shape, and Σ dim² = n!/2.  No other system is
-    solved.  A commutant of 2 that holds the projectors of a passing
-    split is C x C, so each half has commutant 1 and the two halves are
-    inequivalent; otherwise a half's commutant_dim is None.  A half
-    label's dim is its split_dims entry.  Labels of different transpose
-    pairs are inequivalent because their shapes' restrictions have
-    Hom = 0 (see the module docstring).
+    of its restriction, read off the tableau graph: 1, or 2 for a
+    self-conjugate shape.  Verifies the transpose-pair equivalences (the
+    transpose witness's residual on the F_i within _residual_limit(tol)
+    of the pair), the split of each self-conjugate shape, on whose Y_i
+    alone it runs, and Σ dim² = n!/2.  No linear system is solved.  A
+    commutant of 2 that holds the projectors of a passing split is C x C,
+    so each half has commutant 1 and the two halves are inequivalent;
+    otherwise a half's commutant_dim is None.  A half label's dim is its
+    split_dims entry.  Labels of different transpose pairs are
+    inequivalent because their shapes' restrictions have Hom = 0 (see the
+    module docstring).
     """
     if n < 3:
         raise ValueError("classify needs n >= 3")
@@ -356,8 +344,7 @@ def classify(n: int, q, tol: float = 1e-10) -> DecompositionReport:
             add_label(text, "whole", r.dim, cdim)
             partner = transpose(shape).text()
             r2 = restrictions[partner]
-            residual = _permutation_residual(
-                *transpose_witness(r.source, r2.source), r, r2)
+            residual = _witness_residual(r.source, r2.source)
             all_pass = all_pass and residual <= _residual_limit(tol, r, r2)
             equivalences.append([text, partner])
 

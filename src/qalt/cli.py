@@ -411,7 +411,7 @@ def _seeded_word_checks(n, q, tol, seed, reps=None, samples=20, length=10):
 
     worst = 0.0
     for rep in reps:
-        ys = restrict(rep).stacked
+        ys = np.stack(restrict(rep).y_matrices)
         dim = rep.dim
         for chunk, nodes in _word_chunks(need, depth, dim * dim):
             local = np.empty(len(parent), np.intp)

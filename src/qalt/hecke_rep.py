@@ -26,7 +26,8 @@ Only the block entries depend on q, and only through d.  Everything else
 in a shape's matrices is its skeleton (_skeleton), built once per process
 and shape: the tableau basis, the cells where i and i+1 share a row or a
 column, the anchor/partner cells of each mixed pair with the index of
-its d among the shape's distinct distances, and the transpose witness.
+its d among the shape's distinct distances, the transpose witness, and
+the connected components of the graph whose edges are the mixed pairs.
 build_representation evaluates the two diagonal values and one block per
 distinct d (memoized per process by _block_values) and fills the
 skeleton's cells by index arrays.
@@ -79,7 +80,6 @@ __all__ = [
     "direct_sum",
     "dimension_certificate",
     "numeric_rank",
-    "nullspace",
     "sup_norm",
     "representation_to_jsonable",
 ]
@@ -206,22 +206,6 @@ def _has_cholesky_factor(gram: np.ndarray, slack: float) -> bool:
     return True
 
 
-def nullspace(matrix: np.ndarray) -> np.ndarray:
-    """Orthonormal rows v with matrix @ v = 0, by the numeric_rank rule.
-
-    The SVD is taken of the square R factor of the matrix, which has the
-    same singular values and right singular vectors; R is square only for
-    systems with at least as many rows as columns, and every commutant
-    system of alt_decompose is one.  An all-zero system returns a full
-    orthonormal basis.
-    """
-    if matrix.shape[0] < matrix.shape[1]:
-        raise ValueError("nullspace needs at least as many rows as columns")
-    _, svals, vh = np.linalg.svd(np.linalg.qr(matrix, mode="r"))
-    # rows of vh are conjugate transposes of the right singular vectors
-    return vh[_guarded_rank(svals):].conj()
-
-
 # ---------------------------------------------------------------------------
 # entry formulas
 
@@ -340,9 +324,9 @@ class _Skeleton:
     column of basis[k].  Column j of blocks holds the cells (a, a), (b, b),
     (a, b), (b, a) of the j-th mixed pair of a generator i: a is the
     anchor, whose axial distance d of i and i+1 is positive, and b its
-    partner s_i a.  distances are the distinct d of the shape, ascending,
-    and distance_index[j] is the position of the j-th pair's d in them.
-    Every array is read-only.
+    partner s_i a; column j of pairs is (i - 1, a, b).  distances are the
+    distinct d of the shape, ascending, and distance_index[j] is the
+    position of the j-th pair's d in them.  Every array is read-only.
 
     branches lists (mu, start, stop) for each shape mu = shape minus the
     box of n, in basis order: the basis is sorted by the position of n
@@ -357,6 +341,7 @@ class _Skeleton:
     same_row: np.ndarray
     same_column: np.ndarray
     blocks: np.ndarray
+    pairs: np.ndarray
     distance_index: np.ndarray
     branches: tuple[tuple[YoungDiagram, int, int], ...]
 
@@ -373,6 +358,28 @@ class _Skeleton:
             signs.append(_reading_sign(columns))
         return (_read_only(np.array(index, dtype=np.intp)),
                 _read_only(np.array(signs, dtype=float)))
+
+    @cached_property
+    def components(self) -> np.ndarray:
+        """Component of each tableau in the graph of all mixed pairs."""
+        return _read_only(_components(len(self.basis), *self.pairs[1:]))
+
+
+def _components(dim: int, anchors, partners) -> np.ndarray:
+    """Labels 0, 1, ... of the connected components of the graph on dim
+    vertices with edges (anchors[j], partners[j]), in the order of their
+    least vertices: a union-find whose roots are those least vertices."""
+    root = list(range(dim))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for a, b in zip(anchors.tolist(), partners.tolist()):
+        a, b = find(a), find(b)
+        root[max(a, b)] = min(a, b)
+    return np.unique([find(v) for v in range(dim)], return_inverse=True)[1]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -427,7 +434,9 @@ def _skeleton(shape: YoungDiagram) -> _Skeleton:
                              int(start), int(stop)))
     return _Skeleton(shape, basis, tuple(distances.tolist()),
                      diagonal(same_row), diagonal(same_column),
-                     _read_only(blocks), _read_only(distance_index),
+                     _read_only(blocks),
+                     _read_only(np.stack([gen, anchor, partner])),
+                     _read_only(distance_index),
                      tuple(branches))
 
 
@@ -522,6 +531,8 @@ def evaluate_word(rep: Representation, word: Sequence[int]) -> np.ndarray:
     return acc
 
 
+# products that overflow at an extreme q leave inf or nan in the residuals
+@np.errstate(over="ignore", invalid="ignore")
 def verify_relations(rep: Representation, tol: float = 1e-10) -> dict:
     """Residuals of the defining relations for this representation's form.
 

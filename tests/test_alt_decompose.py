@@ -108,16 +108,52 @@ def test_commutant_dimensions():
     assert commutant_dimension(restricted("2,1")) == 2
 
 
-def test_commutant_without_the_identity_is_indeterminate(monkeypatch):
-    # the identity always commutes, so a solve that returns no solution at
-    # all has failed, and is refused rather than reported as dimension 0;
-    # near q = -1 the split route itself keeps the identity
-    r = restricted("4,2,1", -0.99)
-    assert commutant_dimension(r) == 1
-    monkeypatch.setattr(alt_decompose, "nullspace",
-                        lambda system: np.zeros((0, system.shape[1])))
-    with pytest.raises(IndeterminateRankError):
-        commutant_dimension(r)
+def with_scaled_entries(text, q, scale, tableau=0, generators=None):
+    """restricted(text, q) with the off-diagonal entries in the row and
+    column of one tableau scaled, in the given generators (default all)."""
+    rep = build_representation(parse_shape(text), q, "f")
+    mats = [f.copy() for f in rep.generator_matrices]
+    for i in range(len(mats)) if generators is None else generators:
+        f = mats[i]
+        diagonal = f[tableau, tableau]
+        f[tableau, :] *= scale
+        f[:, tableau] *= scale
+        f[tableau, tableau] = diagonal
+    return restrict(dataclasses.replace(rep, generator_matrices=tuple(mats)))
+
+
+def test_commutant_without_the_identity_is_indeterminate():
+    # cutting one tableau off the graph leaves two components, and the
+    # identity is no longer among the rows.  With the cut entries exactly
+    # 0 the two indicators commute, and 4,2,1 gets the dimension 2 that
+    # fails classify.  With the entries below the cutoff (margin about
+    # 3e-9) but still there, the cut-off row has a residual of about 1e-9,
+    # above the limit 1.4e-10, and the commutant is refused
+    assert commutant_dimension(restricted("4,2,1")) == 1
+    assert commutant_dimension(
+        with_scaled_entries("4,2,1", Fraction(2), 0.0)) == 2
+    with pytest.raises(IndeterminateRankError,
+                       match="commutant row of 4,2,1 has residual"):
+        commutant_dimension(with_scaled_entries("4,2,1", Fraction(2), 1e-9))
+
+
+@pytest.mark.parametrize("text,q", [("4,2,1", Fraction(2)),
+                                    ("3,2,1", -0.99), ("3,3", COMPLEX_Q)])
+def test_a_margin_in_the_guard_band_is_indeterminate(text, q):
+    # a mixed pair whose off-diagonal entry is 1e-7 of its own is neither
+    # live (>= 1e-6 of the diagonal) nor dropped (< 1e-8): no guess
+    with pytest.raises(IndeterminateRankError,
+                       match=rf"on {text} has margin [0-9.]+e-0[78]"):
+        commutant_dimension(with_scaled_entries(text, q, 1e-7))
+
+
+def test_a_large_q_lands_in_the_guard_band():
+    # at q = 5e12 each block is nearly diagonal: B / A is about
+    # 2 / sqrt(q) = 8.9e-7, so the edges are neither live nor dropped
+    with pytest.raises(IndeterminateRankError,
+                       match="f_2 on 4,1 has margin 8.944e-07"):
+        classify(5, 5e12)
+    assert classify(5, 3e12).checks["pass"]
 
 
 @pytest.mark.parametrize("solve,reason", [
@@ -125,9 +161,30 @@ def test_commutant_without_the_identity_is_indeterminate(monkeypatch):
                  "raw matrix sequences", id="raw-commutant"),
 ])
 def test_hom_refuses_inputs_other_than_shape_restrictions(solve, reason):
-    # only a shape restriction carries the F_i that the split route solves on
+    # only a shape restriction carries the F_i and the tableau graph that
+    # the commutant is read off
     with pytest.raises(ValueError, match=reason):
         solve()
+    rep = build_representation(parse_shape("3,1"), Fraction(2), "f")
+    with pytest.raises(ValueError, match=reason):
+        commutant_dimension(rep.generator_matrices)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_the_mixed_pair_graph_is_connected(n):
+    # every standard tableau reaches the row-reading one by the s_i that
+    # keep it standard, so the +1 part of each commutant is the identity
+    for shape in enumerate_diagrams(n):
+        skeleton = hecke_rep._skeleton(shape)
+        assert skeleton.components.tolist() == [0] * len(skeleton.basis)
+
+
+def test_components_are_numbered_by_their_first_vertex():
+    anchors, partners = np.array([4, 1, 5]), np.array([2, 3, 4])
+    labels = hecke_rep._components(7, anchors, partners)
+    assert labels.tolist() == [0, 1, 2, 1, 2, 2, 3]
+    assert hecke_rep._components(3, anchors[:0], partners[:0]).tolist() \
+        == [0, 1, 2]
 
 
 # -- Hom spaces against the dense Kronecker system ----------------------------------
@@ -145,7 +202,7 @@ def kron_hom_dimension(y1, y2):
 def test_hom_matches_kronecker_oracle(q):
     # Hom(Res V_λ, Res V_μ) is [μ = λ] + [μ = ^tλ] by the dense Kronecker
     # system: classify's inequivalences and induce rest on it, and for
-    # μ = λ it is the commutant that the split route solves
+    # μ = λ it is the commutant read off the tableau graph
     for n in (3, 4, 5):
         shapes = enumerate_diagrams(n)
         reps = {shape: restricted(shape.text(), q) for shape in shapes}
@@ -165,7 +222,7 @@ def test_split_route_rows_are_orthonormal_intertwiners():
             null = alt_decompose._commutant(r, 1e-10)
             assert len(null) == 1 + r.source.shape.is_self_conjugate
             # real for real input
-            assert np.isrealobj(null) or not np.isrealobj(r.stacked)
+            assert np.isrealobj(null) or not np.isrealobj(r.y_matrices[0])
             assert sup_norm(null.conj() @ null.T - np.eye(len(null))) < 1e-12
             for row in null:
                 x = row.reshape(r.dim, r.dim)
@@ -207,34 +264,52 @@ def test_hom_basis_is_orthonormal_and_real_for_real_input():
         assert sup_norm(b @ x - x @ a) < 1e-12
 
 
-def test_split_route_refuses_a_large_residual():
-    # a 1e-6 change of one entry of y_1 leaves the F_i, which the system
-    # is solved on, as they were.  The identity of the +1 part commutes
-    # with any Y_i, but the -1 part's solution has a residual against the
-    # changed Y_i (7.1e-7) above the limit (1.4e-10), and is refused
-    r = restricted("2,2")
-    y1 = r.y_matrices[0].copy()
-    y1[0, 0] += 1e-6
-    perturbed = alt_decompose.RestrictedRep(r.source, (y1, *r.y_matrices[1:]))
-    assert commutant_dimension(r) == 2
-    with pytest.raises(IndeterminateRankError):
-        commutant_dimension(perturbed)
+def moved_diagonal(text, q, shift, scale=1.0):
+    """The f-form of text at q, every F_i times scale, with shift added to
+    entry (0, 0) of F_2."""
+    rep = build_representation(parse_shape(text), q, "f")
+    mats = [scale * f for f in rep.generator_matrices]
+    mats[1] = mats[1].copy()
+    mats[1][0, 0] += shift
+    return dataclasses.replace(rep, generator_matrices=tuple(mats))
+
+
+def test_split_route_refuses_a_large_residual(monkeypatch):
+    # a 1e-6 change of one diagonal entry of f_2 leaves the identity in
+    # the commutant, but gives the transpose witness a residual on the F_i
+    # (1e-6) above the limit (1.4e-10).  The -1 row is left out, the
+    # commutant of 2,2 is 1, and classify fails instead of passing
+    assert commutant_dimension(restricted("2,2")) == 2
+    assert commutant_dimension(
+        restrict(moved_diagonal("2,2", Fraction(2), 1e-6))) == 1
+
+    def moved(shape, q, form="f"):
+        if shape.text() != "2,2":
+            return build_representation(shape, q, form)
+        return moved_diagonal("2,2", q, 1e-6)
+
+    monkeypatch.setattr(alt_decompose, "build_representation", moved)
+    report = classify(4, Fraction(2))
+    assert report.checks["pass"] is False
+    halves = [label for label in report.labels if label["shape"] == "2,2"]
+    assert [label["commutant_dim"] for label in halves] == [None, None]
 
 
 def test_intertwiner_residual_is_relative_to_the_generators():
-    # scaling the Y_i keeps the commutant; the residual grows with the
-    # scale, past an absolute 1e-10, but stays within tol times the
-    # norms, so the split route accepts the solutions
+    # after scaling the F_i by 1e8, a 1e-3 change of one entry gives the
+    # witness a residual far above an absolute 1e-10 but within tol times
+    # the norms, so the -1 row stays; unscaled, the same change is about
+    # 1e-3 of the entries, and the row is left out
     scale = 1e8
-    r = restricted("2,2")
-    s = alt_decompose.RestrictedRep(
-        r.source, tuple(scale * y for y in r.y_matrices))
+    s = restrict(moved_diagonal("2,2", Fraction(2), 1e-3, scale))
     null = alt_decompose._commutant(s, 1e-10)
     assert null.shape[0] == 2
-    residual = max(sup_norm(y @ x - x @ y)
-                   for x in (row.reshape(s.dim, s.dim) for row in null)
-                   for y in s.y_matrices)
+    x = null[1].reshape(s.dim, s.dim)
+    residual = max(sup_norm(f @ x + x @ f)
+                   for f in s.source.generator_matrices)
     assert 1e-10 < residual <= 1e-10 * scale * 1.5
+    unscaled = restrict(moved_diagonal("2,2", Fraction(2), 1e-3))
+    assert alt_decompose._commutant(unscaled, 1e-10).shape[0] == 1
 
 
 # -- self-conjugate splitting ----------------------------------------------------------
@@ -287,8 +362,9 @@ def test_split_pieces_inequivalent():
 
 
 def test_each_hom_side_is_decomposed_once(monkeypatch):
-    # classify makes no eigendecomposition, and a restriction's generator
-    # norm bounds are computed once however many solves it takes part in
+    # classify makes no eigendecomposition, forms the Y_i of the
+    # self-conjugate shape only, and a restriction's norm bounds on its
+    # F_i are computed once however many checks it takes part in
     eig_calls, bound_calls = [], []
     eig, bounds = np.linalg.eig, alt_decompose._norm_bounds
 
@@ -296,13 +372,15 @@ def test_each_hom_side_is_decomposed_once(monkeypatch):
         eig_calls.append(matrix.shape)
         return eig(matrix)
 
-    def counting_bounds(m):
-        bound_calls.append(m.shape)
-        return bounds(m)
+    def counting_bounds(mats):
+        bound_calls.append((len(mats), mats[0].shape))
+        return bounds(mats)
 
     monkeypatch.setattr(alt_decompose.np.linalg, "eig", counting_eig)
     report = classify(6, Fraction(2))
     assert eig_calls == []
+    assert [text for text, r in report.restrictions.items()
+            if "y_matrices" in vars(r)] == ["3,2,1"]
     plus, minus = half_matrices(report.restrictions["3,2,1"])
     assert kron_hom_dimension(plus, plus) == kron_hom_dimension(minus, minus) == 1
     assert kron_hom_dimension(plus, minus) == 0
@@ -311,7 +389,7 @@ def test_each_hom_side_is_decomposed_once(monkeypatch):
     for _ in range(3):
         assert commutant_dimension(r) == 2
         assert commutant_dimension(other) == 1
-    assert bound_calls == [(4, 16, 16), (4, 10, 10)]
+    assert bound_calls == [(5, (16, 16)), (5, (10, 10))]
     assert eig_calls == []
 
 
@@ -324,7 +402,8 @@ def test_split_rejects_non_self_conjugate():
                                complex(0, 0.5)])
 def test_split_projectors_lie_in_the_solved_commutant(q):
     # each half's orthogonal projector commutes with the restriction: it
-    # is a combination of the two solutions of the numeric commutant solve
+    # is a combination of the identity and the transpose witness, the two
+    # rows of the commutant
     for text in ("2,1", "2,2", "3,1,1", "3,2,1", "4,1,1,1"):
         r = restricted(text, q)
         null = alt_decompose._commutant(r, 1e-10)
@@ -426,6 +505,14 @@ def test_classify_near_minus_one(n, q):
                                      "pass": True}
 
 
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_classify_passes_next_to_minus_one(n):
+    # the largest entries are about 4e8 here; each mixed pair's margin is
+    # taken against its own diagonal entry, not against them
+    assert classify(n, -0.9999).checks == {
+        "sum_dim_sq": math.factorial(n) // 2, "pass": True}
+
+
 @pytest.mark.parametrize("q", [Fraction(2), COMPLEX_Q])
 def test_classify_n7(q):
     checks = classify(7, q).checks
@@ -512,10 +599,10 @@ def test_induction_table_builds_each_shape_once(monkeypatch):
 
 def test_a_zeroed_mixed_pair_fails_classify(monkeypatch):
     # zeroing one mixed pair of f_2 (f_1 is diagonal) on 3,2,1 leaves
-    # matrices that are no longer a representation.  The -1 part of the
-    # split route pairs each entry with its transposed entry, which is
-    # still nonzero, so it loses its solution: the commutant is then not
-    # 2, the halves get no inferred commutant, and classify fails
+    # matrices that are no longer a representation.  The transpose witness
+    # pairs each entry with its transposed entry, which is still nonzero,
+    # so its residual leaves the -1 row out: the commutant is then not 2,
+    # the halves get no inferred commutant, and classify fails
     def mutated(shape, q, form="f"):
         rep = build_representation(shape, q, form)
         if shape.text() != "3,2,1":

@@ -213,13 +213,20 @@ def test_verify_failure_exits_two(capsys):
 
 
 def test_classify_tol_reaches_the_split_route(capsys):
-    # at -0.99 a split-route solution has residual 9.1e-12, above the
-    # 5.9e-12 that --tol 1.5e-16 allows for generators of norm bound 4e4
+    # at -0.99 the halves of 3,2,1 have invariance residual 3.4e-12, above
+    # the 2.0e-12 that --tol 5e-17 allows for generators of norm bound 4e4.
+    # The commutant rows and the transpose witnesses have residual 0
     code, out, err = run(capsys, "classify", "--n", "6", "--q", "-0.99",
-                         "--tol", "1.5e-16")
-    assert (code, out) == (3, "")
-    assert "split-route solution" in err
-    code, _, _ = run(capsys, "classify", "--n", "6", "--q", "-0.99")
+                         "--tol", "5e-17")
+    assert (code, err) == (2, "verification failed\n")
+    payload = json.loads(out)
+    assert payload["checks"]["pass"] is False
+    assert [label["commutant_dim"] for label in payload["labels"]
+            if label["shape"] == "3,2,1"] == [None, None]
+    assert all(label["commutant_dim"] == 1 for label in payload["labels"]
+               if label["shape"] != "3,2,1")
+    code, _, _ = run(capsys, "classify", "--n", "6", "--q", "-0.99",
+                     "--tol", "1e-16")
     assert code == 0
 
 
@@ -324,12 +331,13 @@ def test_seminormal_overflow_names_q_and_n(capsys):
                        f"entry is not finite at q = {shown}, n = 4\n")
 
 
-@pytest.mark.parametrize("q", ["-0.99", "-1.01"])
+@pytest.mark.parametrize("q", ["-0.99", "-1.01", "-0.9999"])
 @pytest.mark.parametrize("command", ["classify", "induce"])
 def test_n7_near_minus_one_passes(capsys, command, q):
-    # entries reach about 4e4 here, and the commutant of 4,2,1 is where a
-    # solve can lose the identity (exit 3); the split route keeps it, and
-    # the output is the q = 2 output apart from "q"
+    # entries reach about 4e4 here (4e8 at -0.9999, where a cutoff
+    # relative to the largest entry of a linear system once gave exit 3);
+    # each mixed pair is judged against its own diagonal entry, and the
+    # output is the q = 2 output apart from "q"
     def without_q(obj):
         if isinstance(obj, dict):
             return {k: without_q(v) for k, v in obj.items() if k != "q"}
@@ -393,6 +401,19 @@ def test_module_entry_point():
         capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_overflowing_residuals_leave_one_error_line():
+    # at q = 1e150 the g-form entries are finite but their products are
+    # not: the residuals carry the inf or nan, and stderr holds the error
+    # line alone, with no numpy warning naming a source path
+    proc = subprocess.run(
+        [sys.executable, "-m", "qalt.cli", "verify", "--n", "3",
+         "--q", "1e150", "--form", "g"],
+        capture_output=True, text=True, env=child_env())
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: out of floating-point range: a seminormal "
+                           "entry is not finite at q = 1e+150, n = 3\n")
 
 
 def test_closed_pipe_exits_quietly():

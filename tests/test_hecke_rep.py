@@ -24,7 +24,6 @@ from qalt.hecke_rep import (
     dimension_certificate,
     direct_sum,
     evaluate_word,
-    nullspace,
     numeric_rank,
     representation_to_jsonable,
     sup_norm,
@@ -440,11 +439,9 @@ def test_numeric_rank_plain():
 
 
 def test_numeric_rank_refuses_ambiguity():
-    # one gap guard decides both the rank and the kernel
     m = np.diag([1.0, 5e-8, 2e-8, 1e-9])
-    for solve in (numeric_rank, nullspace):
-        with pytest.raises(IndeterminateRankError):
-            solve(m)
+    with pytest.raises(IndeterminateRankError):
+        numeric_rank(m)
 
 
 @pytest.fixture
@@ -571,42 +568,6 @@ def test_numeric_rank_gram_path_needs_the_rounding_bound(svd_calls):
     m = np.random.default_rng(13).standard_normal((10, 20)).astype(np.float32)
     assert numeric_rank(m) == 10
     assert len(svd_calls) == 1
-
-
-def test_nullspace_of_tall_matrix():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((6, 2))
-    m = np.column_stack([a, a[:, 0] - 2 * a[:, 1]])  # kernel (1, -2, -1)
-    null = nullspace(m)
-    assert null.shape == (1, 3)
-    assert sup_norm(m @ null.T) < 1e-12
-    expected = np.array([1.0, -2.0, -1.0]) / math.sqrt(6.0)
-    assert abs(abs(float(null[0] @ expected)) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        nullspace(m.T)
-
-
-def test_nullspace_of_complex_matrix():
-    # rows are kernel vectors, not their conjugates
-    m = np.array([[1, 1j], [2, 2j], [1j, -1]])
-    null = nullspace(m)
-    assert null.shape == (1, 2)
-    assert np.linalg.norm(m @ null[0]) < 1e-12
-    assert abs(np.linalg.norm(null[0]) - 1.0) < 1e-12
-
-
-def test_nullspace_reference_scale():
-    # the cutoff is RANK_THRESHOLD times sigma_max, and singular values
-    # straddling it without a GAP_GUARD gap are refused
-    assert nullspace(np.diag([1e-3, 1e-12])).shape == (1, 2)
-    with pytest.raises(IndeterminateRankError):
-        nullspace(np.diag([1.0, 2e-8, 1e-9]))
-
-
-def test_nullspace_of_zero_system_is_everything():
-    null = nullspace(np.zeros((6, 4)))
-    assert null.shape == (4, 4)
-    assert sup_norm(null @ null.T - np.eye(4)) < 1e-12
 
 
 def test_dimension_certificate_small():
