@@ -11,8 +11,8 @@ The package is organized bottom-up:
   Hecke algebra, and the exact rewriting engine for the even subalgebra.
 - ``hecke_rep``: irreducible representation matrices (g-form, f-form, and
   the q = 1 orthogonal form) built from standard tableaux.
-- ``alt_decompose``: restriction to the even subalgebra, commutants by
-  the index-2 split, splitting of self-conjugate restrictions,
+- ``alt_decompose``: restriction to the even subalgebra, commutants read
+  off the tableau graph, splitting of self-conjugate restrictions,
   classification, and induction multiplicities.
 - ``cli``: command-line front end with deterministic JSON output.
 """

@@ -302,8 +302,8 @@ def classify(n: int, q, tol: float = 1e-10) -> DecompositionReport:
     of its restriction, read off the tableau graph: 1, or 2 for a
     self-conjugate shape.  Verifies the transpose-pair equivalences (the
     transpose witness's residual on the F_i within _residual_limit(tol)
-    of the pair), the split of each self-conjugate shape, on whose Y_i
-    alone it runs, and Σ dim² = n!/2.  No linear system is solved.  A
+    of the pair), the split of each self-conjugate shape (the one check
+    that forms Y_i), and Σ dim² = n!/2.  No linear system is solved.  A
     commutant of 2 that holds the projectors of a passing split is C x C,
     so each half has commutant 1 and the two halves are inequivalent;
     otherwise a half's commutant_dim is None.  A half label's dim is its

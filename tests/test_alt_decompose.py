@@ -108,17 +108,16 @@ def test_commutant_dimensions():
     assert commutant_dimension(restricted("2,1")) == 2
 
 
-def with_scaled_entries(text, q, scale, tableau=0, generators=None):
+def with_scaled_entries(text, q, scale):
     """restricted(text, q) with the off-diagonal entries in the row and
-    column of one tableau scaled, in the given generators (default all)."""
+    column of tableau 0 scaled in every F_i."""
     rep = build_representation(parse_shape(text), q, "f")
     mats = [f.copy() for f in rep.generator_matrices]
-    for i in range(len(mats)) if generators is None else generators:
-        f = mats[i]
-        diagonal = f[tableau, tableau]
-        f[tableau, :] *= scale
-        f[:, tableau] *= scale
-        f[tableau, tableau] = diagonal
+    for f in mats:
+        diagonal = f[0, 0]
+        f[0, :] *= scale
+        f[:, 0] *= scale
+        f[0, 0] = diagonal
     return restrict(dataclasses.replace(rep, generator_matrices=tuple(mats)))
 
 
