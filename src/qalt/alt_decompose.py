@@ -37,11 +37,14 @@ diagonal X commutes with every F_i exactly when x_a = x_b on each mixed
 pair (a, b): the +1 part has one row per component of the graph of the
 mixed pairs, which is connected (each standard tableau reaches the
 row-reading one by s_i that keep it standard).  The -1 part is fixed
-along the same edges up to scale, so the transpose witness spans it.  An
-edge is kept by its own margin (_live_edges), not by a cutoff relative
-to the largest entry, which grows like 1/(1+q)^2 near q = -1.  Residuals
-are tested against tol times the larger of 1 and the generators' largest
-norm bound, since their rounding error grows with the entries.
+along the same edges up to scale, so the transpose witness spans it.  A
+mixed pair is an edge unless its entries are exactly 0 (_edges): its
+entry B_d is a quotient of q-integers, nonzero at every admissible q, so
+no cutoff judges it, neither near q = -1, where the diagonal entries grow
+like 1/(1+q)^2, nor at large q, where B/A is about 2/sqrt(q).  The
+witness residuals are tested against tol times the larger of 1 and the
+generators' largest norm bound, since their rounding error grows with
+the entries.
 """
 
 from __future__ import annotations
@@ -53,8 +56,6 @@ from functools import cached_property
 import numpy as np
 
 from .hecke_rep import (
-    GAP_GUARD,
-    RANK_THRESHOLD,
     IndeterminateRankError,
     Representation,
     _components,
@@ -131,28 +132,18 @@ def _residual_limit(tol: float, *sides: RestrictedRep) -> float:
     return tol * max(1.0, *(float(side.norm_bounds.max()) for side in sides))
 
 
-def _live_edges(rep: Representation) -> np.ndarray:
-    """Which mixed pairs (a, b) of the skeleton are edges, by the margin
-    |F_i[a,b]| / max(|F_i[a,a]|, |F_i[a,b]|): live at or above GAP_GUARD
-    RANK_THRESHOLD, dropped below RANK_THRESHOLD or at exactly 0, and
-    IndeterminateRankError in between."""
+def _edges(rep: Representation) -> np.ndarray:
+    """Which mixed pairs (a, b) of the skeleton are edges: those where
+    F_i[a,b] or F_i[b,a] is nonzero.  B_d is a quotient of q-integers, so
+    at an admissible q it is computed to full relative precision, however
+    small next to the diagonal; only a hand-edited matrix has an exact 0."""
     gen, anchor, partner = _skeleton(rep.shape).pairs
-    off, diagonal = values = np.empty((2, gen.size))
+    edges = np.empty(gen.size, dtype=bool)
     for i, f in enumerate(rep.generator_matrices):
         here = gen == i
         a, b = anchor[here], partner[here]
-        values[:, here] = np.abs([f[a, b], f[a, a]])
-    margin = np.divide(off, np.maximum(off, diagonal),
-                       out=np.zeros_like(off), where=off > 0)
-    undecided = np.flatnonzero((margin >= RANK_THRESHOLD)
-                               & (margin < GAP_GUARD * RANK_THRESHOLD))
-    if undecided.size:
-        k = undecided[np.argmin(margin[undecided])]
-        raise IndeterminateRankError(
-            f"a mixed pair of f_{gen[k] + 1} on {rep.shape.text()} has "
-            f"margin {margin[k]:.3e}, between the cutoff "
-            f"{RANK_THRESHOLD:.0e} and {GAP_GUARD * RANK_THRESHOLD:.0e}")
-    return margin >= GAP_GUARD * RANK_THRESHOLD
+        edges[here] = (f[a, b] != 0) | (f[b, a] != 0)
+    return edges
 
 
 def _witness_residual(rep: Representation, onto: Representation) -> float:
@@ -168,32 +159,24 @@ def _witness_residual(rep: Representation, onto: Representation) -> float:
 
 def _commutant(r: RestrictedRep, tol: float) -> np.ndarray:
     """Orthonormal basis rows of {X : X Y_i = Y_i X}, X flattened: one
-    row diag(1_C) / sqrt|C| per component C of the graph of live mixed
-    pairs, refused with IndeterminateRankError if its residual on the F_i
-    exceeds _residual_limit(tol), and on a self-conjugate shape the
-    transpose witness P diag(signs) / sqrt(d) if its residual is within
-    it.  No tableau is its own transpose: the supports are disjoint."""
+    row diag(1_C) / sqrt|C| per component C of the graph of the nonzero
+    mixed pairs (_edges), which commutes with every F_i exactly, and on a
+    self-conjugate shape the transpose witness P diag(signs) / sqrt(d) if
+    its residual on the F_i is within _residual_limit(tol).  No tableau is
+    its own transpose: the supports are disjoint."""
     rep = r.source
     dim, k = rep.dim, np.arange(rep.dim)
     skeleton = _skeleton(rep.shape)
-    live = _live_edges(rep)
-    labels = skeleton.components if live.all() else _components(
-        dim, *skeleton.pairs[1:, live])
+    edges = _edges(rep)
+    labels = skeleton.components if edges.all() else _components(
+        dim, *skeleton.pairs[1:, edges])
     sizes = np.bincount(labels)
     rows = np.zeros((sizes.size + rep.shape.is_self_conjugate, dim, dim))
     rows[labels, k, k] = 1 / np.sqrt(sizes[labels])
-    limit = _residual_limit(tol, r)
-    if sizes.size > 1:      # one component: the identity commutes exactly
-        residual = max(sup_norm(f @ x - x @ f) for x in rows[:sizes.size]
-                       for f in rep.generator_matrices)
-        if not residual <= limit:
-            raise IndeterminateRankError(
-                f"a commutant row of {rep.shape.text()} has residual "
-                f"{residual:.3e} on the f_i, above the tolerance {limit:.1e}")
     if rep.shape.is_self_conjugate:
         index, signs = transpose_witness(rep, rep)
         rows[-1, index, k] = signs / math.sqrt(dim)
-        if not _witness_residual(rep, rep) <= limit:
+        if not _witness_residual(rep, rep) <= _residual_limit(tol, r):
             rows = rows[:-1]
     return rows.reshape(len(rows), dim * dim)
 
@@ -203,8 +186,8 @@ def commutant_dimension(r, tol: float = 1e-10) -> int:
 
     r must be a shape restriction; anything else raises ValueError.  1
     means irreducible, and a self-conjugate shape gives 2.  It counts the
-    rows of _commutant(r, tol), which raises IndeterminateRankError where
-    the graph is undecided.  Without generators (n <= 2) the answer is 1.
+    rows of _commutant(r, tol).  Without generators (n <= 2) the answer
+    is 1.
     """
     if not isinstance(r, RestrictedRep):
         raise ValueError("the commutant is read off a shape restriction, "
