@@ -43,7 +43,9 @@ matrix S_mu per shape mu of m-1 (_branching_bound), and
     r_m = min_mu sigma_min(S_mu) / max_mu sigma_max(S_mu).
 
 When the product is at least GAP_GUARD RANK_THRESHOLD = 1e-6 the rank is
-n!/2 without forming M; otherwise M is formed and numeric_rank decides.
+n!/2 without forming M.  Otherwise M is formed, if the memory estimate
+allows, and its SVD decides (numeric_rank, the one rank helper); a rank
+below n!/2 there is refused as indeterminate.
 """
 
 from __future__ import annotations
@@ -123,87 +125,12 @@ def _guarded_rank(svals: np.ndarray) -> int:
     return rank
 
 
-# Block size of the Cholesky full-rank test and its norm.  On the n = 7
-# Gram matrix at q = 2 (one BLAS thread) 128 rows took the test 0.24-0.28 s
-# against 0.31-0.34 s with 256, inverse panels on both; with 128 rows the
-# inverse panels took a median 0.26 s against 0.35 s for LU solves, faster
-# in 12 of 12 alternating pairs.
-_CHOLESKY_BLOCK = 128
-
-
 def numeric_rank(matrix: np.ndarray) -> int:
-    """Rank by singular values, refusing to guess near the threshold.
-
-    A clearly full rank is read from the Gram matrix G of the short side
-    (p x p, the long side having k entries) without its spectrum.  Write
-    g = GAP_GUARD RANK_THRESHOLD.  Forming G moves its eigenvalues by at
-    most about (p + k) p eps lambda_max, and when that bound is at most
-    1e-2 g, p is returned if G - 2 g ||G||_1 I passes _has_cholesky_factor
-    with a panel slack of 1e-2 g ||G||_1.  Success gives a factor L with
-    L L^H = G - 2 g ||G||_1 I + E, where E holds the Cholesky rounding,
-    about p^2 eps ||G||, and the measured panel residuals, at most the
-    slack in the 2-norm.  L L^H is positive semidefinite and ||G||_1 >=
-    lambda_max, so lambda_min >= (2 - 2e-2) g ||G||_1 - p^2 eps ||G||
-    >= g lambda_max: sigma_min / sigma_max is about 1e-3 or more, and the
-    SVD would return p without reaching the gap check.  Every other matrix,
-    including one whose panel residuals overrun the slack, goes to the SVD
-    and _guarded_rank.
-    """
+    """Rank by singular values, refusing to guess near the threshold
+    (_guarded_rank)."""
     if matrix.size == 0:
         return 0
-    short, long = sorted(matrix.shape)
-    eps = np.finfo(matrix.dtype if matrix.dtype.kind in "fc" else float).eps
-    if (short + long) * short * eps <= 1e-2 * GAP_GUARD * RANK_THRESHOLD:
-        wide = matrix if matrix.shape[0] == short else matrix.T
-        gram = wide @ wide.conj().T
-        # ||G||_1 by column blocks, without a full-size |G| temporary
-        norm1 = max(np.abs(gram[:, k:k + _CHOLESKY_BLOCK]).sum(axis=0).max()
-                    for k in range(0, short, _CHOLESKY_BLOCK))
-        gram.flat[::short + 1] -= 2 * GAP_GUARD * RANK_THRESHOLD * norm1
-        if _has_cholesky_factor(
-                gram, slack=1e-2 * GAP_GUARD * RANK_THRESHOLD * norm1):
-            return short
-        del gram        # freed before the SVD copies the matrix
     return _guarded_rank(np.linalg.svd(matrix, compute_uv=False))
-
-
-def _has_cholesky_factor(gram: np.ndarray, slack: float) -> bool:
-    """Whether the Hermitian matrix gram, within slack, has a Cholesky factor.
-
-    Right-looking block Cholesky that overwrites the upper triangle of
-    gram: np.linalg.cholesky runs on the diagonal blocks only, so the
-    temporaries are a few block rows instead of the two full copies that
-    np.linalg.cholesky of the whole matrix would hold beside it.  The
-    update's row chunks are the diagonal blocks, so each block is whole,
-    lower triangle included, when np.linalg.cholesky reads it.
-
-    A panel L21^H = L11^-1 A12 is formed with the explicit inverse of the
-    diagonal factor, two gemms instead of an LU solve.  Its residual R =
-    L11 L21^H - A12 is a backward error in the off-diagonal blocks of
-    norm at most ||R||_F.  The residuals are summed, and the test fails
-    as soon as the sum exceeds slack (or is NaN).  A factor found is
-    therefore exact for gram plus the Cholesky rounding plus a Hermitian
-    perturbation of 2-norm at most slack.
-    """
-    p = gram.shape[0]
-    spent = 0.0
-    for k in range(0, p, _CHOLESKY_BLOCK):
-        e = min(k + _CHOLESKY_BLOCK, p)
-        try:
-            factor = np.linalg.cholesky(gram[k:e, k:e])
-        except np.linalg.LinAlgError:
-            return False
-        a12 = gram[k:e, e:]
-        panel = np.linalg.inv(factor) @ a12
-        spent += float(np.linalg.norm(factor @ panel - a12))
-        if not spent <= slack:
-            return False
-        # the trailing block loses L21 L21^H
-        for r in range(e, p, _CHOLESKY_BLOCK):
-            c = r - e
-            gram[r:r + _CHOLESKY_BLOCK, r:] -= \
-                panel[:, c:c + _CHOLESKY_BLOCK].conj().T @ panel[:, c:]
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -627,14 +554,11 @@ def _column_blocks(n: int, q) -> list[tuple[Representation, float]]:
     self-conjugate shape, weighted 1, in the order of enumerate_diagrams.
 
     Raises ValueError when the word matrix and the rank solve's peak
-    would exceed physical memory.  The peak is bounded by a copy of the
-    matrix beside the Gram matrix: the conjugate a complex Gram product
-    is formed from, or, since the Gram matrix is freed first, the SVD's
-    copy; the block Cholesky test adds only a few block rows to the Gram
-    matrix.
+    would exceed physical memory.  The estimate is the matrix, the SVD's
+    copy of it and a square of its short side, the triangular factor
+    LAPACK reduces a long matrix to first.  Only _word_matrix calls this,
+    so the estimate runs only where the branching bound falls short.
     """
-    if n < 2:
-        raise ValueError("dimension_certificate needs n >= 2")
     blocks = [(build_representation(shape, q, "f"),
                1.0 if shape.is_self_conjugate else math.sqrt(2.0))
               for shape in enumerate_diagrams(n) if shape.is_transpose_anchor]
@@ -774,20 +698,25 @@ def dimension_certificate(n: int, q=Fraction(2)) -> dict:
     per shape of m-1 of size at most m d_mu.  When the product is at
     least GAP_GUARD RANK_THRESHOLD = 1e-6, every singular value of M is
     at least GAP_GUARD times the SVD's cutoff, so the SVD would return
-    n!/2, and that is the rank.  Otherwise M is formed and numeric_rank
-    reads a clearly full rank from a block Cholesky test of the shifted
-    Gram matrix, with its panels' residuals charged to the shift, and
-    takes the SVD otherwise.  Raises ValueError up front, before either
-    route, when M would not fit in memory (see _column_blocks).
+    n!/2, and that is the rank.  Otherwise M is formed, after the memory
+    check of _column_blocks (ValueError), and numeric_rank decides.
+    Every admissible q makes H_n(q) semisimple, so the true rank is n!/2:
+    a float rank below it reflects conditioning, not the algebra, and
+    raises IndeterminateRankError like an ambiguous spectrum.
     """
-    _column_blocks(n, q)    # the memory refusal comes before either route
+    if n < 2:
+        raise ValueError("dimension_certificate needs n >= 2")
     rows = math.factorial(n) // 2
-    if _branching_bound(n, q) >= GAP_GUARD * RANK_THRESHOLD:
-        rank = rows
-    else:
+    bound = _branching_bound(n, q)
+    if bound < GAP_GUARD * RANK_THRESHOLD:
         rank = numeric_rank(_word_matrix(n, q))
-    return {"even_words": rows, "rank": rank, "expected": rows,
-            "pass": rank == rows}
+        if rank < rows:
+            raise IndeterminateRankError(
+                f"the word matrix at n = {n}, "
+                f"q = {q_to_text(_coerce_q(q, n))} has numeric rank {rank} "
+                f"of {rows}, and the branching bound {bound:.1e} is below "
+                f"{GAP_GUARD * RANK_THRESHOLD:.0e}")
+    return {"even_words": rows, "rank": rows, "expected": rows, "pass": True}
 
 
 # ---------------------------------------------------------------------------

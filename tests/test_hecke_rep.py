@@ -431,11 +431,36 @@ def test_qpoint_input_accepted():
 
 # -- rank machinery ------------------------------------------------------------------
 
-def test_numeric_rank_plain():
-    m = np.diag([3.0, 2.0, 1e-12])
-    assert numeric_rank(m) == 2
-    assert numeric_rank(np.zeros((4, 4))) == 0
-    assert numeric_rank(np.eye(5)) == 5
+def gaussian(seed, shape, dtype=np.float64):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal(shape).astype(dtype)
+    if dtype is np.complex128:
+        m = m + 1j * rng.standard_normal(shape)
+    return m
+
+
+def rank_eight():
+    rng = np.random.default_rng(12)
+    return rng.standard_normal((20, 8)) @ rng.standard_normal((8, 30))
+
+
+@pytest.mark.parametrize("matrix, rank", [
+    pytest.param(np.diag([3.0, 2.0, 1e-12]), 2, id="diag"),
+    pytest.param(np.zeros((4, 4)), 0, id="zero"),
+    pytest.param(np.eye(5), 5, id="eye"),
+    *(pytest.param(gaussian(11, shape, dtype), 30,
+                   id=f"{dtype.__name__}-{shape[0]}x{shape[1]}")
+      for dtype in (np.float64, np.complex128)
+      for shape in ((30, 50), (50, 30))),
+    # full rank with a small sigma_min / sigma_max
+    pytest.param(np.diag([1.0, 0.5, 3e-4]), 3, id="ratio-3e-4"),
+    pytest.param(np.diag([1.0, 0.5, 1e-5]), 3, id="ratio-1e-5"),
+    pytest.param(rank_eight(), 8, id="deficient-20x30"),
+    pytest.param(rank_eight().T, 8, id="deficient-30x20"),
+    pytest.param(gaussian(13, (10, 20), np.float32), 10, id="float32"),
+])
+def test_numeric_rank_plain(matrix, rank):
+    assert numeric_rank(matrix) == rank
 
 
 def test_numeric_rank_refuses_ambiguity():
@@ -444,130 +469,12 @@ def test_numeric_rank_refuses_ambiguity():
         numeric_rank(m)
 
 
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """Counts numeric_rank's SVD calls; an empty count means the Gram path."""
-    calls = []
-    svd = np.linalg.svd
-
-    def spy(*args, **kwargs):
-        calls.append(args[0].shape)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", spy)
-    return calls
-
-
-@pytest.mark.parametrize("shape", [(30, 50), (50, 30)])
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_numeric_rank_reads_clear_full_rank_from_gram(shape, dtype, svd_calls):
-    rng = np.random.default_rng(11)
-    m = rng.standard_normal(shape).astype(dtype)
-    if dtype is np.complex128:
-        m = m + 1j * rng.standard_normal(shape)
-    assert numeric_rank(m) == 30
-    assert svd_calls == []
-
-
-@pytest.mark.parametrize("ratio", [3e-4, 1e-5])
-def test_numeric_rank_takes_svd_below_the_acceptance_ratio(ratio, svd_calls):
-    # full rank, but sigma_min / sigma_max is below 1e-3: the SVD decides
-    m = np.diag([1.0, 0.5, ratio])
-    assert numeric_rank(m) == 3
-    assert len(svd_calls) == 1
-
-
-def test_numeric_rank_of_deficient_matrix_comes_from_svd(svd_calls):
-    rng = np.random.default_rng(12)
-    m = rng.standard_normal((20, 8)) @ rng.standard_normal((8, 30))
-    assert numeric_rank(m) == 8
-    assert numeric_rank(m.T) == 8
-    assert len(svd_calls) == 2
-
-
-def shifted_hadamard_root(delta, phases):
-    """M with M M^H = D ((2 + delta) I + H) D^H, H the 4x4 Hadamard matrix
-    and D = diag(exp(i phases)): lambda = delta (twice) and 4 + delta
-    (twice), while ||G||_1 = 6 + delta, half as much again as lambda_max."""
-    h = np.array([[1, 1, 1, 1], [1, -1, 1, -1],
-                  [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
-    root = np.linalg.cholesky((2 + delta) * np.eye(4) + h)
-    if phases is None:
-        return root
-    return np.exp(1j * np.asarray(phases))[:, None] * root
-
-
-@pytest.mark.parametrize("phases", [None, [0.0, 0.4, 1.3, 2.9]])
-def test_numeric_rank_shift_uses_the_one_norm_with_a_factor_two(phases,
-                                                                svd_calls):
-    # lambda_min / ||G||_1 = 3e-6 clears the shift 2e-6 ||G||_1: Cholesky
-    # succeeds and no SVD runs
-    assert numeric_rank(shifted_hadamard_root(6 * 3e-6 / (1 - 3e-6),
-                                              phases)) == 4
-    assert svd_calls == []
-    # lambda_min / ||G||_1 = 1.5e-6 fails that shift, though it would clear
-    # 1e-6 ||G||_1 or 2e-6 lambda_max (lambda_min / lambda_max = 2.25e-6):
-    # one SVD decides, and the rank is still full
-    assert numeric_rank(shifted_hadamard_root(6 * 1.5e-6 / (1 - 1.5e-6),
-                                              phases)) == 4
-    assert len(svd_calls) == 1
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_block_cholesky_test_matches_the_spectrum(dtype, monkeypatch):
-    # blocks of 3 so that every path of the blocked loop runs; the shift
-    # sits halfway between two eigenvalues, so definiteness is clear-cut
-    monkeypatch.setattr(hecke_rep, "_CHOLESKY_BLOCK", 3)
-    rng = np.random.default_rng(14)
-    for _ in range(40):
-        p = int(rng.integers(1, 12))
-        m = rng.standard_normal((p, p + 2)).astype(dtype)
-        if dtype is np.complex128:
-            m = m + 1j * rng.standard_normal((p, p + 2))
-        gram = m @ m.conj().T
-        lam = np.linalg.eigvalsh(gram)
-        j = int(rng.integers(0, p))
-        gram -= (lam[0] / 2 if j == 0 else (lam[j - 1] + lam[j]) / 2) \
-            * np.eye(p)
-        assert hecke_rep._has_cholesky_factor(gram, slack=1e-8) \
-            == (j == 0)
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_panel_residual_over_the_slack_goes_to_the_svd(dtype, monkeypatch,
-                                                       svd_calls):
-    # an inverse 1 + 1e-3 times too large leaves a panel residual of
-    # 1e-3 ||A12||_F, far over the slack, while the corrupted panels would
-    # still factor this well-conditioned matrix: the test fails, and
-    # numeric_rank takes the rank from the SVD
-    inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda a: (1 + 1e-3) * inv(a))
-    monkeypatch.setattr(hecke_rep, "_CHOLESKY_BLOCK", 3)
-    rng = np.random.default_rng(16)
-    m = rng.standard_normal((10, 40)).astype(dtype)
-    if dtype is np.complex128:
-        m = m + 1j * rng.standard_normal((10, 40))
-    assert not hecke_rep._has_cholesky_factor(m @ m.conj().T, slack=1e-8)
-    assert numeric_rank(m) == 10
-    assert len(svd_calls) == 1
-
-
-def test_numeric_rank_refusal_comes_from_the_svd(svd_calls):
-    # the shifted Gram matrix has no Cholesky factor, and the SVD's
-    # refusal and its message are those of the rank rule
+def test_numeric_rank_refusal_comes_from_the_svd():
+    # the refusal and its message are those of the rank rule
     with pytest.raises(IndeterminateRankError,
                        match=r"^singular values 2\.000e-08 and 1\.000e-09 "
                              r"straddle the cutoff without a 1e\+02 gap$"):
         numeric_rank(np.diag([1.0, 5e-8, 2e-8, 1e-9]))
-    assert len(svd_calls) == 1
-
-
-def test_numeric_rank_gram_path_needs_the_rounding_bound(svd_calls):
-    # at single precision (p + k) p eps exceeds 1e-2 GAP_GUARD RANK_THRESHOLD
-    # for every shape, so even a well-conditioned matrix goes to the SVD
-    m = np.random.default_rng(13).standard_normal((10, 20)).astype(np.float32)
-    assert numeric_rank(m) == 10
-    assert len(svd_calls) == 1
 
 
 def test_dimension_certificate_small():
@@ -623,20 +530,25 @@ def test_word_matrix_is_the_weighted_even_word_images(n, q):
 
 
 def certificate_gb(rows, cols, itemsize):
-    # the word matrix, then a copy of it beside the Gram matrix
+    # the word matrix, the SVD's copy and a square of the short side
     return (2 * rows * cols + min(rows, cols) ** 2) * itemsize / 1e9
 
 
 def test_dimension_certificate_refuses_beyond_physical_memory(monkeypatch):
     monkeypatch.setattr(hecke_rep, "_physical_memory", lambda: 0)
     # n = 8: 20160 even words; the anchors of the transpose pairs and the
-    # self-conjugate shapes 4,2,1,1 and 3,3,2 give 25092 columns
-    for q, itemsize in ((Fraction(2), 8), (1 + 0.5j, 16)):
+    # self-conjugate shapes 4,2,1,1 and 3,3,2 give 25092 columns.  The
+    # branching bound is 2.3e-49 at 1e-5 and 1.4e-45 at -0.9, so both
+    # need the word matrix, real at 1e-5 and complex at -0.9
+    for q, itemsize in ((1e-5, 8), (-0.9, 16)):
         gb = certificate_gb(20160, 25092, itemsize)
         with pytest.raises(ValueError, match=(
                 f"needs about {gb:.1f} GB \\(a 20160 x 25092 word matrix")):
             dimension_certificate(8, q)
-    assert f"{certificate_gb(20160, 25092, 8):.1f}" == "11.3"
+    assert [f"{certificate_gb(20160, 25092, size):.1f}" for size in (8, 16)] \
+        == ["11.3", "22.7"]
+    # the bound decides q = 2 without the word matrix or its estimate
+    assert dimension_certificate(8, Fraction(2))["pass"]
     monkeypatch.setattr(hecke_rep, "_physical_memory", lambda: None)
     assert dimension_certificate(3)["pass"]
 
@@ -651,7 +563,7 @@ def test_branching_bound_is_below_the_word_matrix_ratio(n, q):
 def spy_on_rank_routes(monkeypatch) -> list:
     """Names the word-matrix route's steps as dimension_certificate runs them."""
     calls = []
-    for name in ("_word_matrix", "numeric_rank"):
+    for name in ("_word_matrix", "_column_blocks", "numeric_rank"):
         def spy(*args, _name=name, _route=getattr(hecke_rep, name)):
             calls.append(_name)
             return _route(*args)
@@ -680,7 +592,7 @@ def test_small_branching_bound_falls_back_to_the_word_matrix(n, q,
     with pytest.raises(IndeterminateRankError) as info:
         dimension_certificate(n, q)
     assert str(info.value) == str(direct.value)
-    assert calls == ["_word_matrix", "numeric_rank"]
+    assert calls == ["_word_matrix", "_column_blocks", "numeric_rank"]
 
 
 # -- serialization ---------------------------------------------------------------------
