@@ -33,26 +33,17 @@ distinct d (memoized per process by _block_values) and fills the
 skeleton's cells by index arrays.
 
 Also here: the direct sum over all shapes of n (total dimension n!), and a
-numeric rank certificate showing that the images of the n!/2 even words
-span a space of full dimension n!/2, which pins down the dimension of the
-even subalgebra.  The seminormal basis is adapted to H_{m-1} in H_m, so
-the matrix M of those images factors level by level through one square
-matrix S_mu per shape mu of m-1 (_branching_bound), and
-
-    sigma_min(M) / sigma_max(M) >= r_2 r_3 ... r_n,
-    r_m = min_mu sigma_min(S_mu) / max_mu sigma_max(S_mu).
-
-When the product is at least GAP_GUARD RANK_THRESHOLD = 1e-6 the rank is
-n!/2 without forming M.  Otherwise M is formed, if the memory estimate
-allows, and its SVD decides (numeric_rank, the one rank helper); a rank
-below n!/2 there is refused as indeterminate.
+rank certificate that the images of the n!/2 even words span a space of
+dimension n!/2, which pins down the dimension of the even subalgebra.  It
+is one verdict per square of the branching factorization
+(_branching_squares): by singular values in floats, and where they fall
+short, exactly mod a prime in Young's rational form (dimension_certificate).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
@@ -81,56 +72,29 @@ __all__ = [
     "verify_relations",
     "direct_sum",
     "dimension_certificate",
-    "numeric_rank",
     "sup_norm",
     "representation_to_jsonable",
 ]
 
 FORMS = ("g", "f", "sym")
 
-# Singular values below RANK_THRESHOLD * sigma_max count as zero; a ratio
-# below GAP_GUARD between the smallest kept and largest dropped singular
-# value means the rank cannot be read off reliably.
+# The rank rule: singular values below RANK_THRESHOLD * sigma_max count as
+# zero, and a ratio below GAP_GUARD between the smallest kept and largest
+# dropped one leaves the rank undecided.  The dimension certificate takes
+# a square as nonsingular in floats when sigma_min / sigma_max is at least
+# GAP_GUARD * RANK_THRESHOLD, where the rule reads full rank with room.
 RANK_THRESHOLD = 1e-8
 GAP_GUARD = 1e2
 
 
 class IndeterminateRankError(RuntimeError):
-    """Numeric rank is ambiguous: no clear gap in the singular spectrum."""
+    """A rank that neither the singular values nor exact arithmetic decide."""
 
 
 def sup_norm(matrix: np.ndarray) -> float:
     if matrix.size == 0:
         return 0.0
     return float(np.max(np.abs(matrix)))
-
-
-def _guarded_rank(svals: np.ndarray) -> int:
-    """Number of singular values above RANK_THRESHOLD * sigma_max.
-
-    svals is in descending order.  Raises IndeterminateRankError when the
-    smallest kept and the largest dropped value are less than GAP_GUARD
-    apart.
-    """
-    top = float(svals[0]) if svals.size else 0.0
-    if top == 0.0:
-        return 0
-    rank = int(np.sum(svals > RANK_THRESHOLD * top))
-    if 0 < rank < svals.size:
-        dropped = float(svals[rank])
-        if dropped > 0.0 and float(svals[rank - 1]) / dropped < GAP_GUARD:
-            raise IndeterminateRankError(
-                f"singular values {svals[rank - 1]:.3e} and {dropped:.3e} "
-                f"straddle the cutoff without a {GAP_GUARD:.0e} gap")
-    return rank
-
-
-def numeric_rank(matrix: np.ndarray) -> int:
-    """Rank by singular values, refusing to guess near the threshold
-    (_guarded_rank)."""
-    if matrix.size == 0:
-        return 0
-    return _guarded_rank(np.linalg.svd(matrix, compute_uv=False))
 
 
 # ---------------------------------------------------------------------------
@@ -538,184 +502,158 @@ def direct_sum(n: int, q, form: str = "f"):
 # ---------------------------------------------------------------------------
 # dimension certificate for the even subalgebra
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the platform cannot say."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
+# Primes p = 1 mod 4 below 2^21, each with a square root of -1 mod p: a
+# product of two residues stays below 2^42, so int64 sums of them are
+# exact, and a Gaussian rational q has a residue through i -> root.
+_PRIMES = ((2097133, 498487), (2097097, 1012280), (2097041, 713535),
+           (2097013, 296876))
 
 
-def _column_blocks(n: int, q) -> list[tuple[Representation, float]]:
-    """The word matrix's column blocks, refused when memory would not do.
-
-    One (representation, weight) per column block: the f-form of the
-    anchor of every transpose pair, weighted sqrt(2), and of every
-    self-conjugate shape, weighted 1, in the order of enumerate_diagrams.
-
-    Raises ValueError when the word matrix and the rank solve's peak
-    would exceed physical memory.  The estimate is the matrix, the SVD's
-    copy of it and a square of its short side, the triangular factor
-    LAPACK reduces a long matrix to first.  Only _word_matrix calls this,
-    so the estimate runs only where the branching bound falls short.
-    """
-    blocks = [(build_representation(shape, q, "f"),
-               1.0 if shape.is_self_conjugate else math.sqrt(2.0))
-              for shape in enumerate_diagrams(n) if shape.is_transpose_anchor]
-    rows = math.factorial(n) // 2
-    cols = sum(rep.dim ** 2 for rep, _ in blocks)
-    dtype = np.result_type(*(rep.generator_matrices[0].dtype
-                             for rep, _ in blocks))
-    need = (2 * rows * cols + min(rows, cols) ** 2) * np.dtype(dtype).itemsize
-    budget = _physical_memory()
-    if budget is not None and need > budget:
-        raise ValueError(
-            f"the dimension certificate at n = {n} needs about "
-            f"{need / 1e9:.1f} GB (a {rows} x {cols} word matrix and its "
-            f"rank solve), more than the {budget / 1e9:.1f} GB of "
-            f"physical memory")
-    return blocks
-
-
-def _word_matrix(n: int, q) -> np.ndarray:
-    """The certificate's matrix: one row per even descent-vector word.
-
-    Each row holds the word's images on _column_blocks, weighted.  The
-    words are walked one stage at a time: at stage s every node w of the
-    level has the s children w, w f_{s-1}, w f_{s-1} f_{s-2}, ..., made
-    by one batched matmul of the whole level per factor, and the level
-    lists its nodes in depth-first order.  The last two stages take one
-    child index of stage n-1 at a time, so the transient is a few levels
-    of (n-2)! matrices, and each even leaf goes straight into its row:
-    the count of even leaves before it in depth-first order, which is the
-    order of enumerate_even_uwords.  Every image is the product
-    evaluate_word forms, bit for bit.
-    """
-    blocks = _column_blocks(n, q)
-    rows = math.factorial(n) // 2
-    cols = sum(rep.dim ** 2 for rep, _ in blocks)
-    dtype = np.result_type(*(rep.generator_matrices[0].dtype
-                             for rep, _ in blocks))
-    big = np.zeros((rows, cols), dtype=dtype)
-
-    col = 0
-    for rep, weight in blocks:
-        dim = rep.dim
-        mats = rep.generator_matrices
-        level = np.eye(dim, dtype=dtype)[None]
-        parity = np.zeros(1, dtype=np.intp)
-        for stage in range(2, n - 1):
-            children = np.empty((len(level), stage, dim, dim), dtype=dtype)
-            children[:, 0] = level
-            for d in range(1, stage):
-                np.matmul(children[:, d - 1], mats[stage - d - 1],
-                          out=children[:, d])
-            level = children.reshape(-1, dim, dim)
-            parity = ((parity[:, None] + np.arange(stage)) % 2).ravel()
-        # stages n-1 and n, one child index c of stage n-1 at a time
-        even = (parity[:, None, None] + np.arange(n - 1)[:, None]
-                + np.arange(n)) % 2 == 0
-        assert even.sum() == rows
-        row = np.cumsum(even.ravel()).reshape(even.shape) - 1
-        for c in range(n - 1):
-            if c:
-                level = level @ mats[n - c - 2]
-            leaf = level
-            for d in range(n):
-                if d:
-                    leaf = leaf @ mats[n - d - 1]
-                keep = even[:, c, d]
-                big[row[keep, c, d], col:col + dim * dim] = \
-                    weight * leaf[keep].reshape(-1, dim * dim)
-        col += dim * dim
-    return big
-
-
-def _branching_bound(n: int, q) -> float:
-    """A lower bound on sigma_min / sigma_max of the word matrix.
+def _branching_squares(m: int, q, p: int | None = None) -> dict:
+    """The square S_mu of each shape mu of m-1, keyed by mu: in the f-form
+    at q, or, given a prime p, in _rational_generators(shape, q, p).
 
     Write F_m for the matrix of all m! descent-vector words of H_m, one
-    row per word, against every shape of m with weight 1.  A word of
-    level m is h c, h a word of level m-1 and c one of the m coset
-    factors 1, f_{m-1}, f_{m-1} f_{m-2}, ..., f_{m-1} ... f_1.  On the
-    seminormal basis rho_lambda(h) is block diagonal, one block
-    rho_mu(h) per mu = lambda minus a box (_Skeleton.branches), so
+    row per word, against every shape of m.  A word of level m is h c, h
+    a word of level m-1 and c one of the m coset factors 1, f_{m-1},
+    f_{m-1} f_{m-2}, ..., f_{m-1} ... f_1.  On the seminormal basis
+    rho_lambda(h) is block diagonal, one block rho_mu(h) per mu = lambda
+    minus a box (_Skeleton.branches), so
     rho_lambda(h c)[k, l] = sum_j rho_mu(h)[k, j] rho_lambda(c)[T_j, l],
     T_j the tableau of lambda that restricts to mu's j-th one.  Hence
-    F_m = (I_m (x) F_{m-1}) K_m up to orthogonal permutations, with K_m
-    the direct sum over mu of d_mu copies of the square matrix S_mu,
-    rows (c, j), columns (lambda, l) and entries rho_lambda(c)[T_j, l];
-    it is square because the lambda above mu have sum d_lambda = m d_mu.
-    With r_m = min_mu sigma_min(S_mu) / max_mu sigma_max(S_mu) this gives
-    sigma_min / sigma_max of F_n >= r_2 ... r_n, F_1 = (1).
-
-    The even rows of F_n and its odd rows are orthogonal: they lie in
-    the +1 and -1 eigenspaces of the isometric involution taking each
-    image Y on lambda to X Y X^T on lambda', X of transpose_witness.  So
-    the even rows' singular values are some of F_n's, and the word
-    matrix has the same M M^H as the even rows (see
-    dimension_certificate): the product bounds its ratio too.
+    F_m = (I_m (x) F_{m-1}) K_m up to permutations, with K_m the direct
+    sum over mu of d_mu copies of S_mu: rows (c, j), columns (lambda, l)
+    and entries rho_lambda(c)[T_j, l].  S_mu is square because the lambda
+    above mu have sum d_lambda = m d_mu.  So F_n, F_1 = (1), is
+    nonsingular exactly when every S_mu of every level m = 2..n is.
     """
-    bound = 1.0
-    for m in range(2, n + 1):
-        squares = {mu: [] for mu in enumerate_diagrams(m - 1)}
-        for shape in enumerate_diagrams(m):
-            mats = build_representation(shape, q, "f").generator_matrices
-            cosets = [np.eye(len(mats[0]), dtype=mats[0].dtype)]
-            for f in reversed(mats):
-                cosets.append(cosets[-1] @ f)
-            cosets = np.stack(cosets)
-            for mu, start, stop in _skeleton(shape).branches:
-                squares[mu].append(cosets[:, start:stop])
-        svals = []
-        for parts in squares.values():
-            square = np.concatenate(parts, axis=2)
-            svals.append(np.linalg.svd(square.reshape(-1, square.shape[2]),
-                                       compute_uv=False))
-        bound *= min(s[-1] for s in svals) / max(s[0] for s in svals)
-    return bound
+    squares = {mu: [] for mu in enumerate_diagrams(m - 1)}
+    for shape in enumerate_diagrams(m):
+        mats = build_representation(shape, q, "f").generator_matrices \
+            if p is None else _rational_generators(shape, q, p)
+        cosets = [np.eye(len(mats[0]), dtype=mats[0].dtype)]
+        for f in reversed(mats):
+            product = cosets[-1] @ f
+            cosets.append(product if p is None else product % p)
+        cosets = np.stack(cosets)
+        for mu, start, stop in _skeleton(shape).branches:
+            squares[mu].append(cosets[:, start:stop])
+    return {mu: np.concatenate(parts, axis=2).reshape(-1, m * len(parts[0][0]))
+            for mu, parts in squares.items()}
+
+
+def _rational_generators(shape: YoungDiagram, q: int, p: int) -> np.ndarray:
+    """The stacked f_i of shape in Young's rational form, mod p.
+
+    q is q's residue mod p.  The diagonal is that of the f-form, and on
+    each mixed pair the block in (anchor, partner) order is
+    [[-A, 1], [1 - A^2, A]], the f-form's [[-A, B], [B, A]] with the
+    partner scaled by 1/B (1 - A^2 = B^2).  The rule is local, as in the
+    f-form, so these matrices are the f-form conjugated by one diagonal
+    matrix per shape (Young's rational form; Hoefsmit 1974 for H_n(q)),
+    and their branching squares are nonsingular exactly when the
+    f-form's are.
+    """
+    skeleton = _skeleton(shape)
+    dim = len(skeleton.basis)
+    a = np.array([(1 + pow(q, d, p)) * pow((1 + q) * _qint_value(d, q), -1, p)
+                  % p for d in skeleton.distances], dtype=np.int64)
+    blocks = np.stack([-a % p, a, np.ones_like(a), (1 - a * a) % p], axis=1)
+    stacked = np.zeros((shape.n - 1, dim, dim), dtype=np.int64)
+    flat = stacked.reshape(-1)
+    flat[skeleton.same_row] = 1
+    flat[skeleton.same_column] = p - 1
+    flat[skeleton.blocks] = blocks[skeleton.distance_index].T
+    return stacked
+
+
+def _residues(n: int, q):
+    """(p, residue of q) for each prime of _PRIMES that suits q at n.
+
+    q's exact value, a Gaussian rational for a complex q, maps to F_p
+    with i -> the prime's root of -1.  A prime is skipped where a
+    denominator of q, q itself, 1 + q or some [d]_q, d <= n, vanishes
+    mod p: the entries of _rational_generators need those inverses.
+    """
+    parts = [Fraction(x) for x in
+             ((q.real, q.imag) if isinstance(q, complex) else (q,))]
+    for p, root in _PRIMES:
+        # x^(p-2) is 1/x mod p, and 0 for a denominator that skips p
+        r = sum(x.numerator * pow(x.denominator, p - 2, p) * root ** k
+                for k, x in enumerate(parts)) % p
+        if all(x.denominator % p for x in parts) and all(
+                r * (1 + r) * _qint_value(d, r) % p for d in range(2, n + 1)):
+            yield p, r
+
+
+def _nonsingular_mod(matrix: np.ndarray, p: int) -> bool:
+    """Whether a square int64 matrix with entries in [0, p) is invertible
+    mod the prime p, by Gaussian elimination with row swaps.
+
+    Only the pivot column and row are reduced mod p at each step; the
+    rest of the block grows by less than p^2 < 2^42 per step, so int64
+    holds it exactly below 2^21 rows.
+    """
+    a = matrix.copy()
+    for k in range(len(a)):
+        column = a[k:, k] % p
+        pivots = np.flatnonzero(column)
+        if not pivots.size:
+            return False
+        r = int(pivots[0])
+        a[[k, k + r], k:] = a[[k + r, k], k:]
+        column[[0, r]] = column[[r, 0]]
+        row = a[k, k + 1:] % p * pow(int(column[0]), -1, p) % p
+        a[k + 1:, k + 1:] -= np.multiply.outer(column[1:], row)
+    return True
 
 
 def dimension_certificate(n: int, q=Fraction(2)) -> dict:
     """Rank certificate: even words span a space of dimension n!/2.
 
-    The certificate is the numeric rank of the (n!/2)-row matrix M of the
-    f-form images of all descent-vector words of even length
-    (_word_matrix).  Combined with the exact even-word count this pins
-    the dimension of the even subalgebra from both sides.
+    The certified rank is that of the (n!/2)-row matrix of the f-form
+    images of all descent-vector words of even length on all shapes.
+    Combined with the exact even-word count this pins the dimension of
+    the even subalgebra from both sides.  These are the even rows of
+    F_n (_branching_squares), so they have full rank n!/2 when F_n is
+    nonsingular, that is when every square S_mu is, mu a shape of m-1
+    for m = 2..n.  The word matrix of one shape per transpose pair,
+    weighted sqrt(2), and of each self-conjugate shape has the same
+    M M^H as these rows (the even word images on lambda' are X W X^T,
+    X of transpose_witness), so the same rank.
 
-    The columns are those of the direct sum of all irreducibles, reduced
-    by transpose pairs.  An even word's image on the transposed shape is
-    X W X^T, W its image on the shape and X the signed permutation of
-    transpose_witness.  One shape per pair (the anchor of classify, with
-    the larger rows) stands for both with weight sqrt(2), and each
-    self-conjugate shape keeps weight 1: M has the same M M^H as the
-    full direct sum, hence the same singular values.
-
-    The rank is read first from the branching rule, without forming M:
-    sigma_min(M) / sigma_max(M) >= sigma_min / sigma_max of all words on
-    all shapes >= r_2 ... r_n (_branching_bound), each r_m from one SVD
-    per shape of m-1 of size at most m d_mu.  When the product is at
-    least GAP_GUARD RANK_THRESHOLD = 1e-6, every singular value of M is
-    at least GAP_GUARD times the SVD's cutoff, so the SVD would return
-    n!/2, and that is the rank.  Otherwise M is formed, after the memory
-    check of _column_blocks (ValueError), and numeric_rank decides.
-    Every admissible q makes H_n(q) semisimple, so the true rank is n!/2:
-    a float rank below it reflects conditioning, not the algebra, and
-    raises IndeterminateRankError like an ambiguous spectrum.
+    Each square gets its own verdict.  In floats it passes when
+    sigma_min / sigma_max >= GAP_GUARD RANK_THRESHOLD = 1e-6.  A square
+    below that is built again in Young's rational form at q's exact
+    value (a float is a dyadic rational), reduced mod each prime of
+    _PRIMES that suits q (_residues), and passes when it is invertible
+    mod one of them: its determinant is then nonzero, a proof.  Every
+    admissible q makes H_n(q) semisimple, so the true rank is n!/2; a
+    square singular mod every prime raises IndeterminateRankError,
+    naming n, q and mu.
     """
     if n < 2:
         raise ValueError("dimension_certificate needs n >= 2")
+    for m in range(2, n + 1):
+        pending = []
+        for mu, square in _branching_squares(m, q).items():
+            svals = np.linalg.svd(square, compute_uv=False)
+            if svals[-1] < GAP_GUARD * RANK_THRESHOLD * svals[0]:
+                pending.append(mu)
+        if pending:
+            qv = _coerce_q(q, n)
+            for p, r in _residues(n, qv):
+                exact = _branching_squares(m, r, p)
+                pending = [mu for mu in pending
+                           if not _nonsingular_mod(exact[mu], p)]
+                if not pending:
+                    break
+            else:
+                raise IndeterminateRankError(
+                    f"the branching square of {pending[0].text()} at n = {n}, "
+                    f"q = {q_to_text(qv)} is below 1e-06 in floats and "
+                    f"singular mod every prime tried")
     rows = math.factorial(n) // 2
-    bound = _branching_bound(n, q)
-    if bound < GAP_GUARD * RANK_THRESHOLD:
-        rank = numeric_rank(_word_matrix(n, q))
-        if rank < rows:
-            raise IndeterminateRankError(
-                f"the word matrix at n = {n}, "
-                f"q = {q_to_text(_coerce_q(q, n))} has numeric rank {rank} "
-                f"of {rows}, and the branching bound {bound:.1e} is below "
-                f"{GAP_GUARD * RANK_THRESHOLD:.0e}")
     return {"even_words": rows, "rank": rows, "expected": rows, "pass": True}
 
 

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from rank_oracle import numeric_rank
 
 from qalt import alt_decompose, hecke_rep
 from qalt.tableaux import enumerate_diagrams, parse_shape, transpose
-from qalt.hecke_rep import build_representation, numeric_rank, sup_norm
+from qalt.hecke_rep import build_representation, sup_norm
 from qalt.word_algebra import NormalFormMonomial, enumerate_normal_monomials
 from qalt.alt_decompose import (
     IndeterminateRankError,

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qalt
-from qalt import cli, hecke_rep
+from qalt import cli
 from qalt.alt_decompose import restrict
 from qalt.cli import _COMMANDS, build_parser, main
 from qalt.hecke_rep import (
@@ -371,31 +372,20 @@ def test_indeterminate_rank_exits_three(capsys, monkeypatch):
     assert "indeterminate" in err
 
 
-def test_dim_beyond_physical_memory_exits_one(capsys, monkeypatch):
-    # the branching bound falls short at 1e-7, and the word matrix is
-    # refused before it is allocated, with the estimate
-    monkeypatch.setattr(hecke_rep, "_physical_memory", lambda: 1000)
-    code, out, err = run(capsys, "dim", "--n", "4", "--q", "1e-7")
-    assert code == 1 and out == ""
-    assert err.startswith("error: the dimension certificate at n = 4 "
-                          "needs about 0.0 GB (a 12 x 14 word matrix")
-    assert "more than the 0.0 GB of physical memory" in err
-
-
-@pytest.mark.parametrize("n, q, rank", [("3", "-0.9999", "2 of 3"),
-                                        ("4", "-0.99", "8 of 12")])
-def test_dim_deficient_float_rank_exits_three(capsys, n, q, rank):
-    # H_n(q) is semisimple at every admissible q, so a word-matrix rank
-    # below n!/2 is rounding and is refused, not reported as a failure
+@pytest.mark.parametrize("n, q", [("3", "-0.9999"), ("4", "-0.99"),
+                                  ("5", "-0.95"), ("6", "-0.99")])
+def test_dim_deficient_float_rank_is_proved_exactly(capsys, n, q):
+    # the SVD of the word matrix reads a rank below n!/2 here; the
+    # branching squares floats cannot decide are nonsingular mod p
     code, out, err = run(capsys, "dim", "--n", n, "--q", q)
-    assert (code, out) == (3, "")
-    assert err.startswith(f"error: indeterminate rank: the word matrix at "
-                          f"n = {n}, q = {q} has numeric rank {rank}, and "
-                          f"the branching bound ")
+    assert (code, err) == (0, "")
+    rows = math.factorial(int(n)) // 2
+    assert json.loads(out) == {"even_words": rows, "expected": rows,
+                               "pass": True, "rank": rows}
 
 
 def test_dim_n8_is_decided_by_the_branching_bound(capsys):
-    # no word matrix, so no memory estimate either
+    # every branching square passes in floats at q = 2
     code, out, err = run(capsys, "dim", "--n", "8", "--q", "2")
     assert (code, err) == (0, "")
     assert json.loads(out) == {"even_words": 20160, "expected": 20160,

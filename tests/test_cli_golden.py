@@ -9,8 +9,9 @@ requests are:
   drawn from numpy's default_rng([n, length]), at each sample q of the
   acceptance suite and at 1+0.5i;
 - `verify --seed 7` at n = 5 and 6 for q in {2, 3/2, 0.3, 1+0.5i};
-- `dim` at n = 3..6 for q in {2, 3/2, 0.3, 1+0.5i, -0.9, 1e-5}; some of
-  these exit 3 (indeterminate rank), and the message is part of stderr;
+- `dim` at n = 3..6 for q in {2, 3/2, 0.3, 1+0.5i, -0.9, 1e-5}, at n = 7
+  for q = -0.5 and at n = 8 for q in {-0.9, 1e-5}; every one passes, some
+  through squares that only the exact verdict decides;
 - `classify` and `induce` (the whole table) at n = 3..6, at each sample
   q of the acceptance suite and at 1+0.5i, and `induce --n 6 --q 2
   --label` for a whole label (4,2) and a split one (3,2,1:plus);
@@ -35,12 +36,15 @@ requests are:
   forms g and sym, where they are skipped; and `verify --n 8 --seed 3`
   at q = 2 and 1+0.5i.
 
-The rewrite, verify_seed and dim digests were recorded at commit
-da32be3, where every exact coefficient was built by gcd-reduced
-RationalFunction arithmetic and a full rank was read from the Gram
-matrix's eigenvalues; they pin the output of the current code to that
-one.  Canonical num/den are unique and every value is evaluated from
-them, so the bytes must not move.  The classify and induce digests were
+The rewrite and verify_seed digests were recorded at commit da32be3,
+where every exact coefficient was built by gcd-reduced RationalFunction
+arithmetic; they pin the output of the current code to that one.
+Canonical num/den are unique and every value is evaluated from them, so
+the bytes must not move.  The dim digests were recorded again when each
+branching square got its own verdict, exact mod p where floats fall
+short, in place of the SVD of the word matrix: every request that passed
+before kept its bytes, and the n = 5, 6 requests at -0.9 and 1e-5, which
+exited 3, pass.  The classify and induce digests were
 recorded at commit 78f5474, where every Hom solve eigendecomposed both
 of its sides afresh and the seminormal matrices were built entry by
 entry from partner tableaux; reusing one spectral record per side keeps
@@ -122,6 +126,8 @@ def requests() -> dict:
               for n in (5, 6) for q in VERIFY_Q]
     dim = [["dim", "--n", str(n), "--q", q]
            for n in range(3, 7) for q in DIM_Q]
+    dim += [["dim", "--n", "7", "--q", "-0.5"]]
+    dim += [["dim", "--n", "8", "--q", q] for q in ("-0.9", "1e-5")]
     classify = [["classify", "--n", str(n), "--q", q]
                 for n in range(3, 7) for q in SAMPLE_Q + (COMPLEX_Q,)]
     induce = [["induce", "--n", str(n), "--q", q]

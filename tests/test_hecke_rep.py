@@ -3,10 +3,12 @@
 import json
 import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
 from field_oracle import Q
+from rank_oracle import guarded_rank, numeric_rank
 
 from qalt import hecke_rep
 from qalt.cli import render_json
@@ -24,7 +26,6 @@ from qalt.hecke_rep import (
     dimension_certificate,
     direct_sum,
     evaluate_word,
-    numeric_rank,
     representation_to_jsonable,
     sup_norm,
     transpose_witness,
@@ -429,7 +430,7 @@ def test_qpoint_input_accepted():
     assert rep.q_value == Fraction(2)
 
 
-# -- rank machinery ------------------------------------------------------------------
+# -- rank certificate ----------------------------------------------------------------
 
 def gaussian(seed, shape, dtype=np.float64):
     rng = np.random.default_rng(seed)
@@ -444,6 +445,7 @@ def rank_eight():
     return rng.standard_normal((20, 8)) @ rng.standard_normal((8, 30))
 
 
+# the tests' rank rule (rank_oracle), the reference for the word matrix
 @pytest.mark.parametrize("matrix, rank", [
     pytest.param(np.diag([3.0, 2.0, 1e-12]), 2, id="diag"),
     pytest.param(np.zeros((4, 4)), 0, id="zero"),
@@ -489,14 +491,34 @@ ORACLE_Q = (Fraction(2), Fraction(3, 2), Fraction(5, 7), 0.3, 1.7, 1 + 0.5j,
             -0.9, -0.5, 0.5j, 1e-5)
 
 
-def all_shapes_certificate(n, q):
-    """The certificate on the full direct sum: every shape's block, SVD rank."""
-    big = np.hstack([
+def full_rank(n):
+    rows = math.factorial(n) // 2
+    return {"even_words": rows, "rank": rows, "expected": rows, "pass": True}
+
+
+def all_shapes_matrix(n, q):
+    """The even word images on every shape, one row per word."""
+    return np.hstack([
         np.array([w.ravel() for w in even_word_images(
             build_representation(shape, q, "f"))])
         for shape in enumerate_diagrams(n)])
+
+
+def word_matrix(n, q):
+    """The even word images on one shape per transpose pair, weighted
+    sqrt(2), and on each self-conjugate shape (README criterion 1)."""
+    return np.hstack([
+        (1.0 if shape.is_self_conjugate else math.sqrt(2.0))
+        * np.array([w.ravel() for w in even_word_images(
+            build_representation(shape, q, "f"))])
+        for shape in enumerate_diagrams(n) if shape.is_transpose_anchor])
+
+
+def all_shapes_certificate(n, q):
+    """The certificate on the full direct sum: every shape's block, SVD rank."""
     rows = math.factorial(n) // 2
-    rank = hecke_rep._guarded_rank(np.linalg.svd(big, compute_uv=False))
+    rank = guarded_rank(np.linalg.svd(all_shapes_matrix(n, q),
+                                      compute_uv=False))
     return {"even_words": rows, "rank": rank, "expected": rows,
             "pass": rank == rows}
 
@@ -506,93 +528,178 @@ def all_shapes_certificate(n, q):
 def test_dimension_certificate_matches_all_shapes_oracle(n, q):
     try:
         expected = all_shapes_certificate(n, q)
-    except IndeterminateRankError as exc:
-        with pytest.raises(IndeterminateRankError) as info:
-            dimension_certificate(n, q)
-        assert str(info.value) == str(exc)
-    else:
-        assert dimension_certificate(n, q) == expected
+    except IndeterminateRankError:
+        # the SVD cannot read this rank; the squares prove it full
+        expected = full_rank(n)
+    assert dimension_certificate(n, q) == expected
 
 
 @pytest.mark.parametrize("q", ORACLE_Q)
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_word_matrix_is_the_weighted_even_word_images(n, q):
-    # the batched walk forms every image with evaluate_word's products,
-    # in enumerate_even_uwords order, so the rows agree bit for bit
-    expected = np.hstack([
-        (1.0 if shape.is_self_conjugate else math.sqrt(2.0))
-        * np.array([w.ravel() for w in even_word_images(
-            build_representation(shape, q, "f"))])
-        for shape in enumerate_diagrams(n) if shape.is_transpose_anchor])
-    matrix = hecke_rep._word_matrix(n, q)
-    assert matrix.dtype == expected.dtype
-    assert np.array_equal(matrix, expected)
+    # weighting the anchors by sqrt(2) stands in for their transposes: the
+    # word matrix has the M M^H of the full direct sum, so its rank
+    full, weighted = all_shapes_matrix(n, q), word_matrix(n, q)
+    assert len(weighted) == len(full) == math.factorial(n) // 2
+    gram = full @ full.conj().T
+    assert sup_norm(weighted @ weighted.conj().T - gram) \
+        <= 1e-12 * sup_norm(gram)
 
 
-def certificate_gb(rows, cols, itemsize):
-    # the word matrix, the SVD's copy and a square of the short side
-    return (2 * rows * cols + min(rows, cols) ** 2) * itemsize / 1e9
-
-
-def test_dimension_certificate_refuses_beyond_physical_memory(monkeypatch):
-    monkeypatch.setattr(hecke_rep, "_physical_memory", lambda: 0)
-    # n = 8: 20160 even words; the anchors of the transpose pairs and the
-    # self-conjugate shapes 4,2,1,1 and 3,3,2 give 25092 columns.  The
-    # branching bound is 2.3e-49 at 1e-5 and 1.4e-45 at -0.9, so both
-    # need the word matrix, real at 1e-5 and complex at -0.9
-    for q, itemsize in ((1e-5, 8), (-0.9, 16)):
-        gb = certificate_gb(20160, 25092, itemsize)
-        with pytest.raises(ValueError, match=(
-                f"needs about {gb:.1f} GB \\(a 20160 x 25092 word matrix")):
-            dimension_certificate(8, q)
-    assert [f"{certificate_gb(20160, 25092, size):.1f}" for size in (8, 16)] \
-        == ["11.3", "22.7"]
-    # the bound decides q = 2 without the word matrix or its estimate
-    assert dimension_certificate(8, Fraction(2))["pass"]
-    monkeypatch.setattr(hecke_rep, "_physical_memory", lambda: None)
-    assert dimension_certificate(3)["pass"]
+def branching_bound(n, q):
+    """r_2 ... r_n, r_m = min_mu sigma_min(S_mu) / max_mu sigma_max(S_mu),
+    a lower bound on sigma_min / sigma_max of the word matrix, since F_n
+    is (I (x) F_{n-1}) K_n up to permutations and its even and odd rows
+    are orthogonal."""
+    bound = 1.0
+    for m in range(2, n + 1):
+        svals = [np.linalg.svd(square, compute_uv=False)
+                 for square in hecke_rep._branching_squares(m, q).values()]
+        bound *= min(s[-1] for s in svals) / max(s[0] for s in svals)
+    return bound
 
 
 @pytest.mark.parametrize("q", ORACLE_Q)
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_branching_bound_is_below_the_word_matrix_ratio(n, q):
-    svals = np.linalg.svd(hecke_rep._word_matrix(n, q), compute_uv=False)
-    assert hecke_rep._branching_bound(n, q) <= svals[-1] / svals[0] * (1 + 1e-9)
+    # the squares are the factors of the word matrix
+    svals = np.linalg.svd(word_matrix(n, q), compute_uv=False)
+    assert branching_bound(n, q) <= svals[-1] / svals[0] * (1 + 1e-9)
 
 
 def spy_on_rank_routes(monkeypatch) -> list:
-    """Names the word-matrix route's steps as dimension_certificate runs them."""
+    """The primes the exact verdict tries as dimension_certificate runs."""
     calls = []
-    for name in ("_word_matrix", "_column_blocks", "numeric_rank"):
-        def spy(*args, _name=name, _route=getattr(hecke_rep, name)):
-            calls.append(_name)
-            return _route(*args)
-        monkeypatch.setattr(hecke_rep, name, spy)
+    route = hecke_rep._nonsingular_mod
+
+    def spy(matrix, p):
+        calls.append(p)
+        return route(matrix, p)
+
+    monkeypatch.setattr(hecke_rep, "_nonsingular_mod", spy)
     return calls
 
 
 @pytest.mark.parametrize("n, q", [(7, Fraction(2)), (7, 0.5j), (6, 1 + 0.5j),
                                   (7, Fraction(1))])
 def test_branching_bound_certifies_without_the_word_matrix(n, q, monkeypatch):
+    # the float verdict passes every square; the exact one never runs
     calls = spy_on_rank_routes(monkeypatch)
-    rows = math.factorial(n) // 2
-    assert dimension_certificate(n, q) == {
-        "even_words": rows, "rank": rows, "expected": rows, "pass": True}
+    assert dimension_certificate(n, q) == full_rank(n)
     assert calls == []
 
 
-@pytest.mark.parametrize("q", [-0.9, 1e-5])
-@pytest.mark.parametrize("n", [5, 6])
-def test_small_branching_bound_falls_back_to_the_word_matrix(n, q,
-                                                             monkeypatch):
-    # the word-matrix route refuses these as it did before the bound
-    with pytest.raises(IndeterminateRankError) as direct:
-        numeric_rank(hecke_rep._word_matrix(n, q))
+@pytest.mark.parametrize("n, q, pending", [
+    (3, -0.9999, 2), (5, 1e-5, 2), (6, -0.9, 5), (6, 1e-5, 9)])
+def test_exact_verdict_decides_the_squares_floats_cannot(n, q, pending,
+                                                         monkeypatch):
+    # each square below 1e-6 is nonsingular mod the first prime
     calls = spy_on_rank_routes(monkeypatch)
-    with pytest.raises(IndeterminateRankError) as info:
-        dimension_certificate(n, q)
-    assert str(info.value) == str(direct.value)
-    assert calls == ["_word_matrix", "_column_blocks", "numeric_rank"]
+    assert dimension_certificate(n, q) == full_rank(n)
+    assert calls == [hecke_rep._PRIMES[0][0]] * pending
+
+
+def test_singular_squares_are_refused_naming_n_q_and_mu(monkeypatch):
+    # f_{m-1} = I makes the coset factors 1 and f_{m-1} equal, so every
+    # square is singular mod every prime; only the squares floats leave
+    # undecided get that far, first 4,1 at m = 6
+    route = hecke_rep._rational_generators
+
+    def collapsed(shape, q, p):
+        mats = route(shape, q, p)
+        mats[-1] = np.eye(len(mats[-1]), dtype=mats.dtype)
+        return mats
+
+    monkeypatch.setattr(hecke_rep, "_rational_generators", collapsed)
+    monkeypatch.setattr(hecke_rep, "_PRIMES", hecke_rep._PRIMES[:2])
+    calls = spy_on_rank_routes(monkeypatch)
+    with pytest.raises(IndeterminateRankError, match=(
+            r"^the branching square of 4,1 at n = 6, q = -0\.9 is below "
+            r"1e-06 in floats and singular mod every prime tried$")):
+        dimension_certificate(6, -0.9)
+    assert calls == [2097133] * 5 + [2097097] * 5
+    assert dimension_certificate(5, -0.9) == full_rank(5)
+
+
+def test_primes_are_one_mod_four_with_a_root_of_minus_one():
+    for p, root in hecke_rep._PRIMES:
+        assert p < 2 ** 21 and p % 4 == 1
+        assert all(p % k for k in range(2, math.isqrt(p) + 1))
+        assert root * root % p == p - 1
+
+
+def test_residues_are_exact_and_skip_primes_that_do_not_suit():
+    (p, root), (p1, _) = hecke_rep._PRIMES[:2]
+    # -0.9 is 3602879701896397 / 2^52 exactly, not -9/10
+    exact = Fraction(-0.9)
+    assert next(hecke_rep._residues(6, -0.9)) == (
+        p, exact.numerator * pow(exact.denominator, -1, p) % p)
+    assert next(hecke_rep._residues(6, Fraction(-9, 10)))[1] \
+        == -9 * pow(10, -1, p) % p
+    # 1 + 0.5i -> 1 + root / 2
+    assert next(hecke_rep._residues(6, 1 + 0.5j)) == (
+        p, (1 + root * pow(2, -1, p)) % p)
+    # q = 0, 1 + q = 0, [3]_q = 0 or a denominator vanish mod p
+    for q in (Fraction(p), Fraction(p - 1), Fraction(1, p)):
+        assert next(hecke_rep._residues(6, q))[0] == p1
+    cube_root = next(x for x in (pow(a, (p - 1) // 3, p) for a in range(2, 9))
+                     if x != 1)
+    assert next(hecke_rep._residues(3, Fraction(cube_root)))[0] == p1
+    assert next(hecke_rep._residues(2, Fraction(cube_root)))[0] == p
+
+
+def test_nonsingular_mod_swaps_rows_and_sees_singular_matrices():
+    p = hecke_rep._PRIMES[0][0]
+    check = hecke_rep._nonsingular_mod
+    # a zero pivot that a row swap resolves, at the first and second step
+    assert check(np.array([[0, 1], [1, 0]]), p)
+    assert check(np.array([[1, 2, 3], [2, 4, 5], [1, 1, 1]]), p)
+    # singular over the integers, and singular mod p only: det = p
+    assert not check(np.array([[1, 2], [2, 4]]), p)
+    assert not check(np.array([[2, 1], [1, (p + 1) // 2]]), p)
+    assert not check(np.array([[1, 2, 3], [2, 4, 6], [0, 0, 1]]), p)
+    assert check(np.array([[2, 1], [1, (p + 3) // 2]]), p)
+
+
+def rational_relations(shape, q, p):
+    """The worst violations mod p of f_i^2 = I, the braid relation with
+    c^2 (f_{i+1} - f_i), c = (q - 1)/(q + 1), and far commutation."""
+    mats = hecke_rep._rational_generators(shape, q, p)
+    eye = np.eye(len(mats[0]), dtype=np.int64)
+    c = (q - 1) * pow(q + 1, -1, p) % p
+
+    def mul(*factors):
+        acc = eye
+        for f in factors:
+            acc = acc @ f % p
+        return acc
+
+    bad = [mul(f, f) - eye for f in mats]
+    bad += [mul(a, b, a) - mul(b, a, b) - c * c % p * (b - a)
+            for a, b in zip(mats, mats[1:])]
+    bad += [mul(mats[i], mats[j]) - mul(mats[j], mats[i])
+            for i in range(len(mats)) for j in range(i + 2, len(mats))]
+    return [int(np.count_nonzero(x % p)) for x in bad]
+
+
+@pytest.mark.parametrize("q", [Fraction(2), Fraction(5, 7), -0.9, -0.9999,
+                               1e-5, 1 + 0.5j, 0.5j])
+def test_rational_form_satisfies_the_relations_mod_p(q):
+    for n in range(2, 8):
+        for p, r in islice(hecke_rep._residues(n, q), 2):
+            for shape in enumerate_diagrams(n):
+                assert not any(rational_relations(shape, r, p)), shape
+
+
+@pytest.mark.parametrize("q", ORACLE_Q)
+def test_float_verdict_agrees_with_the_exact_one(q):
+    # every square, whatever its float ratio, is nonsingular mod the
+    # first prime that suits q
+    for m in range(2, 8):
+        p, r = next(hecke_rep._residues(m, q))
+        for mu, square in hecke_rep._branching_squares(m, r, p).items():
+            assert square.shape == (m * len(hecke_rep._skeleton(mu).basis),) * 2
+            assert hecke_rep._nonsingular_mod(square, p), (m, mu)
 
 
 # -- serialization ---------------------------------------------------------------------
