@@ -35,7 +35,6 @@ from .hecke_rep import (
     build_representation,
     dimension_certificate,
     representation_to_jsonable,
-    sup_norm,
     verify_relations,
 )
 from .alt_decompose import (
@@ -354,12 +353,89 @@ def _word_chunks(need: list, depth: np.ndarray, per_matrix: int):
     yield range(start, len(need)), by_depth(held)
 
 
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seeded_letters(seed: int, n: int, count: int) -> list[int]:
+    """count draws of numpy.random.default_rng(seed).integers(1, n - 1),
+    made as numpy makes them but without importing numpy.random.
+
+    SeedSequence hashes the seed's 32-bit words into a pool of four and
+    the pool into two 128-bit words, PCG64's start and stream (O'Neill
+    2014: a 128-bit LCG with the XSL-RR output); each draw is Lemire's
+    bounded rejection on a 32-bit half of an output, low half first.
+    """
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    const = 0x43b0d7e5
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * 0x931e8875 & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = (0xca01f9dd * x - 0x4973f715 * y) & _MASK32
+        return x ^ x >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, state = 0x8b51f9dd, []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58f38ded & _MASK32
+        value = value * const & _MASK32
+        state.append(value ^ value >> 16)
+    w = [state[k] | state[k + 1] << 32 for k in range(0, 8, 2)]
+    inc = (w[2] << 65 | w[3] << 1 | 1) & _MASK128
+
+    def halves(pcg):
+        while True:
+            pcg = (pcg * _PCG64_MULTIPLIER + inc) & _MASK128
+            x = (pcg >> 64 ^ pcg) & _MASK64
+            rot = pcg >> 122
+            x = (x >> rot | x << (64 - rot)) & _MASK64
+            yield x & _MASK32
+            yield x >> 32
+
+    # seeding: one step from 0, then the start added, then one more step
+    start = inc + (w[0] << 64 | w[1])
+    next32 = halves((start * _PCG64_MULTIPLIER + inc) & _MASK128).__next__
+    span = n - 2
+    if span == 1:
+        return [1] * count
+    threshold = (1 << 32) % span
+    out = []
+    for _ in range(count):
+        m = next32() * span
+        while m & _MASK32 < threshold:
+            m = next32() * span
+        out.append(1 + (m >> 32))
+    return out
+
+
 def _seeded_word_checks(n, q, tol, seed, reps=None, samples=20, length=10):
     """Seeded random word checks of the f-form against the exact rewriting.
 
-    Draws `samples` (20) y-words of `length` (10) letters from
-    numpy.random.default_rng(seed), one scalar draw per letter, and on
-    every shape of n compares the image of each word with the image of its
+    Draws `samples` (20) y-words of `length` (10) letters, the letters
+    that numpy.random.default_rng(seed).integers(1, n - 1) gives one per
+    call, drawn without numpy.random (_seeded_letters), and on every
+    shape of n compares the image of each word with the image of its
     normal form at q; the report passes when the largest entry of every
     difference is below tol.  `verify --seed` runs it only in the f-form,
     on every shape of n even when --shape is given, with tol
@@ -372,15 +448,17 @@ def _seeded_word_checks(n, q, tol, seed, reps=None, samples=20, length=10):
     the chain of 2-D products that multiplying letter by letter forms, so
     the residuals are those of the letter-by-letter products, bit for bit.
     Where a shape's nodes would hold more than WORD_CHECK_ENTRIES matrix
-    entries, the words are checked in consecutive chunks that fit.
+    entries, the words are checked in consecutive chunks that fit.  A
+    chunk's normal-form images are summed term by term across its words,
+    the k-th term of every word that has one in one step, so each entry
+    sees the additions of the word-by-word sum in the same order.
     """
     if reps is None:
         reps = [build_representation(shape, q, "f")
                 for shape in enumerate_diagrams(n)]
-    rng = np.random.default_rng(seed)
     qv = complex(q) if isinstance(q, complex) else float(q)
-    words = [[int(rng.integers(1, n - 1)) for _ in range(length)]
-             for _ in range(samples)]
+    letters = _seeded_letters(seed, n, samples * length)
+    words = [letters[k:k + length] for k in range(0, len(letters), length)]
     # the trie: node 0 is the empty word; child[node][letter - 1] is 0 when
     # absent, since the root is nobody's child
     child, parent, letter, depth = [[0] * (n - 2)], [0], [0], [0]
@@ -424,13 +502,21 @@ def _seeded_word_checks(n, q, tol, seed, reps=None, samples=20, length=10):
                 at = nodes[a:b]
                 np.matmul(img[local[parent[at]]], ys[letter[at]],
                           out=img[a:b])
+            # the k-th terms of all words that have one, in one step
+            order = sorted(chunk, key=lambda w: -len(values[w]))
+            image = np.zeros((len(order), dim, dim), ys.dtype)
+            live = len(order)
+            for k in range(len(values[order[0]])):
+                while len(values[order[live - 1]]) <= k:
+                    live -= 1
+                rows = local[[term_nodes[w][k] for w in order[:live]]]
+                vals = np.array([values[w][k] for w in order[:live]])
+                image[:live] = image[:live] + vals[:, None, None] * img[rows]
+            direct = img[local[[word_node[w] for w in order]]]
+            gaps = np.abs(direct - image).max(axis=(1, 2)).tolist()
+            gap = dict(zip(order, gaps))
             for w in chunk:
-                direct = img[local[word_node[w]]]
-                image = np.zeros_like(direct)
-                for row, value in zip(local[term_nodes[w]].tolist(),
-                                      values[w]):
-                    image = image + value * img[row]
-                worst = max(worst, sup_norm(direct - image))
+                worst = max(worst, gap[w])
     return {
         "seed": seed,
         "samples": samples,

@@ -3,12 +3,13 @@
 The exact calculi of this package compute in rings of integer
 polynomials (see word_algebra) and hand their results out as
 :class:`RationalFunction` values: a numerator and a denominator
-:class:`Polynomial`, built already in lowest terms with a monic
-denominator, so equal values have equal fields.  There is no field
-arithmetic and no polynomial gcd here; a value is printed, compared and
-evaluated at a number.  Square roots are deliberately not representable:
-every square-root-bearing quantity lives in the floating-point matrix
-backend instead, so that the exact code paths stay exact.
+:class:`Polynomial` with int coefficients, built already in lowest terms
+with a monic denominator, so equal values have equal fields.  There is
+no field arithmetic and no polynomial gcd here; a value is printed,
+compared and evaluated at a number, exactly (as a Fraction) at an exact
+q.  Square roots are deliberately not representable: every
+square-root-bearing quantity lives in the floating-point matrix backend
+instead, so that the exact code paths stay exact.
 
 Numeric specialization points are wrapped in :class:`QPoint`, which rejects
 the degenerate parameters (q = 0, q = -1, and k-th roots of unity for k up
@@ -57,18 +58,26 @@ Scalar = Union[Fraction, int, float, complex]
 ROOT_OF_UNITY_TOLERANCE = 1e-12
 
 
+def _exact(c):
+    """c as an int when it is integral, else as a Fraction."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class Polynomial:
-    """Dense univariate polynomial in q over Fraction.
+    """Dense univariate polynomial in q with rational coefficients.
 
     Coefficients are stored ascending by power with no trailing zeros, so
-    equality of tuples is equality of polynomials.  The zero polynomial is
-    the empty tuple and has degree -1.
+    equality of tuples is equality of polynomials.  An integral
+    coefficient is stored as an int, any other as a Fraction; every
+    producer in this package builds integer polynomials.  The zero
+    polynomial is the empty tuple and has degree -1.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -85,18 +94,33 @@ class Polynomial:
         return not self.coeffs
 
     def evaluate(self, value):
-        """Horner evaluation; exact for Fraction input, float otherwise."""
+        """Horner evaluation: a Fraction for int or Fraction input, else a
+        float or complex with the bits of Horner on Fraction coefficients.
+        """
+        if isinstance(value, (int, Fraction)):
+            # Horner in integers at value = a/b: for degree m it ends with
+            # acc = sum c_k a^k b^(m-k) and scale = b^(m+1)
+            a, b = value.numerator, value.denominator
+            acc, scale = 0, 1
+            for c in reversed(self.coeffs):
+                acc = acc * a + c * scale
+                scale *= b
+            return Fraction(acc * b, scale)
         if self.is_zero:
-            return Fraction(0) if isinstance(value, (int, Fraction)) else 0.0 * value
-        coeffs = reversed(self.coeffs)
-        if not isinstance(value, (int, Fraction)):
-            # acc * value + c with a Fraction c adds float(c) (or complex(c))
-            # anyway, via Fraction.__radd__; converting first skips that
-            coeffs = map(complex if isinstance(value, complex) else float,
-                         coeffs)
-        acc = next(coeffs)
-        for c in coeffs:
-            acc = acc * value + c
+            return 0.0 * value
+        # float(c) of an int or a Fraction c is correctly rounded, and is
+        # what acc * value + c adds for a Fraction c via Fraction.__radd__
+        coeffs = map(complex if isinstance(value, complex) else float,
+                     reversed(self.coeffs))
+        try:
+            acc = next(coeffs)
+            for c in coeffs:
+                acc = acc * value + c
+        except OverflowError:
+            # float(int) says "int too large to convert to float"; keep the
+            # message of float(Fraction), which the CLI has always printed
+            raise OverflowError(
+                "integer division result too large for a float") from None
         return acc
 
     def __eq__(self, other) -> bool:

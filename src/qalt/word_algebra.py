@@ -37,17 +37,18 @@ normal-form combinations, their products and their re-reduction all work
 over Z[u].  Both calculi keep their coefficients in Z[q, 1/(q+1)], as
 integer polynomials over a power of (q+1), and compute with integers
 alone: there is no Q(q) arithmetic and no polynomial gcd.  A coefficient
-becomes a canonical RationalFunction only at the edge, in _ring_to_rf,
-which cancels (q+1) factors by synthetic division; for p(u) the closed
-form is already in lowest terms.
+becomes a canonical RationalFunction only at the edge: num/(q+1)^e in
+_ring_to_rf, which cancels (q+1) factors by synthetic division, and p(u)
+in _u_to_rf, whose closed form is already in lowest terms.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 from .scalars import Polynomial, RationalFunction
@@ -219,6 +220,10 @@ def _u_shift(a: tuple) -> tuple:
 def _u_mul(a: tuple, b: tuple) -> tuple:
     if not a or not b:
         return ()
+    if a == _UONE:
+        return b
+    if b == _UONE:
+        return a
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -247,10 +252,7 @@ def _q_plus_one_power(e: int) -> tuple:
 
 
 def _ring_to_rf(num: tuple, e: int) -> RationalFunction:
-    """Canonical num/(q+1)^e: divide num by (q+1) while q = -1 is a root.
-
-    Every RationalFunction of this module is built here.
-    """
+    """Canonical num/(q+1)^e: divide num by (q+1) while q = -1 is a root."""
     if not num:
         e = 0
     while e:
@@ -266,24 +268,49 @@ def _ring_to_rf(num: tuple, e: int) -> RationalFunction:
     return RationalFunction(Polynomial(num), Polynomial(_q_plus_one_power(e)))
 
 
+# The table of degree k holds (k+1)(2k+1) integers of up to 2k bits and
+# takes O(k^3) integer products to build: cheap at the engine's usual
+# degrees, but building it for y1^1500 at n = 3 (k = 1498) had used 1.4 GB
+# after ten minutes.  Above this degree _u_to_rf runs Horner in (q-1)^2
+# and (q+1)^2 instead, in O(k) memory.
+_U_BASIS_MAX_DEGREE = 32
+
+
+@cache
+def _u_basis(k: int) -> tuple:
+    """The coefficient columns of B_j = (q-1)^{2j} (q+1)^{2(k-j)},
+    j = 0..k, one tuple (B_0[i], ..., B_k[i]) per power q^i, and the
+    denominator (q+1)^{2k}."""
+    plus, minus = [_UONE], [_UONE]
+    for _ in range(k):
+        plus.append(_u_mul(plus[-1], _Q_PLUS_ONE_SQ))
+        minus.append(_u_mul(minus[-1], _Q_MINUS_ONE_SQ))
+    rows = [_u_mul(minus[j], plus[k - j]) for j in range(k + 1)]
+    return tuple(zip(*rows)), Polynomial(plus[k])
+
+
 def _u_to_rf(p: tuple) -> RationalFunction:
     """p(u) in Q(q): sum_j a_j (q-1)^{2j} (q+1)^{2(k-j)} over (q+1)^{2k}.
 
     The numerator is a_k 4^k at q = -1 (k the degree of p), never zero, so
-    the fraction is already reduced and _ring_to_rf cancels nothing.
+    the fraction is already reduced: it is built as it stands.
     """
     k = len(p) - 1
     while k >= 0 and not p[k]:
         k -= 1
     if k < 0:
         return _ring_to_rf((), 0)
+    if k <= _U_BASIS_MAX_DEGREE:
+        columns, den = _u_basis(k)
+        num = [sum(map(operator.mul, p, column)) for column in columns]
+        return RationalFunction(Polynomial(num), den)
     num, den = (p[k],), _UONE
     for a in reversed(p[:k]):
         den = _u_mul(den, _Q_PLUS_ONE_SQ)
         num = _u_mul(num, _Q_MINUS_ONE_SQ)
         if a:
             num = _u_add(num, tuple(a * x for x in den))
-    return _ring_to_rf(num, 2 * k)
+    return RationalFunction(Polynomial(num), Polynomial(den))
 
 
 def c_squared() -> RationalFunction:
@@ -371,9 +398,19 @@ _RMUL_CACHE: dict[tuple[tuple[int, ...], int], tuple] = {}
 
 
 def _comb_rmul(comb: dict, j: int) -> dict:
+    # the walk's hot loop: _merge with _add_into inlined
     out: dict = {}
+    get = out.get
     for code, p in comb.items():
-        _merge(out, _rmul(code, j), p)
+        for key, r in _rmul(code, j):
+            term = _u_mul(r, p)
+            cur = get(key)
+            if cur is None:
+                out[key] = term
+            elif total := _u_add(cur, term):
+                out[key] = total
+            else:
+                del out[key]
     return out
 
 
@@ -689,8 +726,7 @@ class HeckeElement:
         if den != _q_plus_one_power(len(den) - 1):
             raise ValueError(f"scale factor {factor} has a denominator that "
                              f"is not a power of (q+1)")
-        num = tuple(int(c) if c.denominator == 1 else c
-                    for c in factor.num.coeffs)
+        num = factor.num.coeffs
         return HeckeElement(self.n,
                             {w: _u_mul(c, num) for w, c in self.terms.items()},
                             self.exp + len(den) - 1)

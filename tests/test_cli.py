@@ -191,6 +191,30 @@ def test_word_checks_in_chunks_of_one_word(monkeypatch, n, q_text):
     assert cli._seeded_word_checks(n, q, 1e-9, 5) == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**70), st.integers(3, 12))
+def test_seeded_letters_are_numpys_draws(seed, n):
+    # n = 3 is the range-0 path, where numpy makes no draw
+    rng = np.random.default_rng(seed)
+    expected = [int(rng.integers(1, n - 1)) for _ in range(200)]
+    assert cli._seeded_letters(seed, n, 200) == expected
+
+
+@pytest.mark.parametrize("n", [2**31 + 3, 3 * 2**30 + 2, 2**32 + 1])
+def test_seeded_letters_reject_as_numpy_does(n):
+    # 2^32 mod (n - 2) is a quarter to a half of 2^32 here, so Lemire's
+    # rejection step runs often; the draws still match
+    for seed in (0, 1, 2**64 + 9):
+        rng = np.random.default_rng(seed)
+        expected = [int(rng.integers(1, n - 1)) for _ in range(200)]
+        assert cli._seeded_letters(seed, n, 200) == expected
+
+
+def test_negative_seed_exits_one(capsys):
+    code, out, err = run(capsys, "verify", "--n", "4", "--seed", "-1")
+    assert (code, out, err) == (1, "", "error: expected non-negative integer\n")
+
+
 def test_word_chunks_fit_the_entry_limit(monkeypatch):
     # nodes 0..6 at depths 0, 1, 2, 2, 1, 2, 3; each node one entry
     need = [{0, 1, 2}, {0, 1, 3}, {0, 4, 5, 6}]
@@ -412,6 +436,17 @@ def test_module_entry_point():
         capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_seeded_verify_leaves_numpy_random_unimported():
+    script = ("import sys\n"
+              "from qalt.cli import main\n"
+              "code = main(['verify', '--n', '4', '--seed', '3'])\n"
+              "print(code, 'numpy.random' in sys.modules, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.stderr == "0 False\n"
+    assert json.loads(proc.stdout)["word_checks"]["pass"] is True
 
 
 def test_overflowing_residuals_leave_one_error_line():

@@ -33,6 +33,34 @@ def test_polynomial_normalizes_trailing_zeros():
     assert poly().degree == -1
 
 
+def test_integral_coefficients_are_stored_as_ints():
+    p = poly(Fraction(4, 2), 3, 2.0, Fraction(1, 2))
+    assert [type(c) for c in p.coeffs] == [int, int, int, Fraction]
+    c2 = c_squared()
+    assert all(type(c) is int for c in c2.num.coeffs + c2.den.coeffs)
+
+
+@pytest.mark.parametrize("value", [Fraction(3, 2), Fraction(-5, 7), 2])
+def test_exact_evaluation_returns_a_fraction(value):
+    # a constant prints "1" at q = 3/2 through q_to_text, not "1.0"
+    for p, expected in ((poly(1), 1), (poly(), 0), (poly(0, 1), value)):
+        got = p.evaluate(value)
+        assert type(got) is Fraction and got == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-10**30, 10**30)
+                | st.fractions(max_denominator=10**6), max_size=12),
+       st.fractions(max_denominator=10**6) | st.integers(-50, 50))
+def test_exact_evaluation_is_fraction_horner(coeffs, value):
+    p = Polynomial(coeffs)
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * value + c
+    got = p.evaluate(value)
+    assert type(got) is Fraction and got == acc
+
+
 def test_polynomial_str_descending():
     assert str(poly(1, -2, 1)) == "q^2 - 2*q + 1"
     assert str(poly(Fraction(1, 2), 0, 1)) == "q^2 + 1/2"
@@ -90,9 +118,10 @@ def horner_through_fractions(p: Polynomial, value):
     each lower Fraction coefficient added through Fraction.__radd__."""
     if p.is_zero:
         return 0.0 * value
-    acc = p.coeffs[-1]
+    coeffs = [Fraction(c) for c in p.coeffs]
+    acc = coeffs[-1]
     acc = complex(acc) if isinstance(value, complex) else float(acc)
-    for c in reversed(p.coeffs[:-1]):
+    for c in reversed(coeffs[:-1]):
         acc = acc * value + c
     return acc
 

@@ -220,6 +220,35 @@ def test_u_to_rf_matches_powers_of_c_squared():
         assert is_canonical_ring(got), p
 
 
+def u_to_rf_matches_oracle(p):
+    # Horner in c^2 keeps the oracle's denominator at (q+1)^(2 deg p),
+    # unreduced
+    q = Q.q()
+    c2 = ((q - 1) / (q + 1)) ** 2
+    oracle = Q()
+    for a in reversed(p):
+        oracle = oracle * c2 + a
+    got = word_algebra._u_to_rf(tuple(p))
+    assert Q.of(got) == oracle
+    assert is_canonical_ring(got)
+    assert all(type(c) is int for c in got.num.coeffs + got.den.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=17))
+def test_u_to_rf_of_large_integer_polynomials(p):
+    u_to_rf_matches_oracle(p)
+
+
+@pytest.mark.parametrize("degree", [word_algebra._U_BASIS_MAX_DEGREE,
+                                    word_algebra._U_BASIS_MAX_DEGREE + 1, 60])
+def test_u_to_rf_on_both_sides_of_the_table_degree(degree):
+    rng = np.random.default_rng(degree)
+    p = [int(a) for a in rng.integers(-10**6, 10**6, degree + 1)]
+    p[-1] = p[-1] or 1
+    u_to_rf_matches_oracle(p)
+
+
 class RationalHecke:
     """T-basis element with Q(q) oracle coefficients, the reference for
     HeckeElement's integer arithmetic."""
