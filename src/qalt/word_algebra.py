@@ -46,9 +46,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .scalars import Polynomial, RationalFunction
@@ -268,27 +267,6 @@ def _ring_to_rf(num: tuple, e: int) -> RationalFunction:
     return RationalFunction(Polynomial(num), Polynomial(_q_plus_one_power(e)))
 
 
-# The table of degree k holds (k+1)(2k+1) integers of up to 2k bits and
-# takes O(k^3) integer products to build: cheap at the engine's usual
-# degrees, but building it for y1^1500 at n = 3 (k = 1498) had used 1.4 GB
-# after ten minutes.  Above this degree _u_to_rf runs Horner in (q-1)^2
-# and (q+1)^2 instead, in O(k) memory.
-_U_BASIS_MAX_DEGREE = 32
-
-
-@cache
-def _u_basis(k: int) -> tuple:
-    """The coefficient columns of B_j = (q-1)^{2j} (q+1)^{2(k-j)},
-    j = 0..k, one tuple (B_0[i], ..., B_k[i]) per power q^i, and the
-    denominator (q+1)^{2k}."""
-    plus, minus = [_UONE], [_UONE]
-    for _ in range(k):
-        plus.append(_u_mul(plus[-1], _Q_PLUS_ONE_SQ))
-        minus.append(_u_mul(minus[-1], _Q_MINUS_ONE_SQ))
-    rows = [_u_mul(minus[j], plus[k - j]) for j in range(k + 1)]
-    return tuple(zip(*rows)), Polynomial(plus[k])
-
-
 def _u_to_rf(p: tuple) -> RationalFunction:
     """p(u) in Q(q): sum_j a_j (q-1)^{2j} (q+1)^{2(k-j)} over (q+1)^{2k}.
 
@@ -300,10 +278,6 @@ def _u_to_rf(p: tuple) -> RationalFunction:
         k -= 1
     if k < 0:
         return _ring_to_rf((), 0)
-    if k <= _U_BASIS_MAX_DEGREE:
-        columns, den = _u_basis(k)
-        num = [sum(map(operator.mul, p, column)) for column in columns]
-        return RationalFunction(Polynomial(num), den)
     num, den = (p[k],), _UONE
     for a in reversed(p[:k]):
         den = _u_mul(den, _Q_PLUS_ONE_SQ)

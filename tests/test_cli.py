@@ -192,9 +192,12 @@ def test_word_checks_in_chunks_of_one_word(monkeypatch, n, q_text):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**70), st.integers(3, 12))
+@given(st.one_of(st.integers(0, 2**70), st.integers(2**128, 2**256)),
+       st.integers(3, 12))
 def test_seeded_letters_are_numpys_draws(seed, n):
-    # n = 3 is the range-0 path, where numpy makes no draw
+    # n = 3 is the range-0 path, where numpy makes no draw; a seed of
+    # 2^128 or more has more than four 32-bit words, which SeedSequence
+    # mixes into the pool after the first four
     rng = np.random.default_rng(seed)
     expected = [int(rng.integers(1, n - 1)) for _ in range(200)]
     assert cli._seeded_letters(seed, n, 200) == expected
@@ -204,7 +207,7 @@ def test_seeded_letters_are_numpys_draws(seed, n):
 def test_seeded_letters_reject_as_numpy_does(n):
     # 2^32 mod (n - 2) is a quarter to a half of 2^32 here, so Lemire's
     # rejection step runs often; the draws still match
-    for seed in (0, 1, 2**64 + 9):
+    for seed in (0, 1, 2**64 + 9, 2**128 + 5, 2**160 - 1):
         rng = np.random.default_rng(seed)
         expected = [int(rng.integers(1, n - 1)) for _ in range(200)]
         assert cli._seeded_letters(seed, n, 200) == expected
