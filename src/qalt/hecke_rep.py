@@ -51,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .scalars import QPoint, Scalar, is_admissible, q_to_text
+from .scalars import QPoint, Scalar, exact_parts, is_admissible, q_to_text
 from .tableaux import (
     StandardTableau,
     YoungDiagram,
@@ -575,13 +575,11 @@ def _residues(n: int, q):
     denominator of q, q itself, 1 + q or some [d]_q, d <= n, vanishes
     mod p: the entries of _rational_generators need those inverses.
     """
-    parts = [Fraction(x) for x in
-             ((q.real, q.imag) if isinstance(q, complex) else (q,))]
+    x, y, b = exact_parts(q)
     for p, root in _PRIMES:
-        # x^(p-2) is 1/x mod p, and 0 for a denominator that skips p
-        r = sum(x.numerator * pow(x.denominator, p - 2, p) * root ** k
-                for k, x in enumerate(parts)) % p
-        if all(x.denominator % p for x in parts) and all(
+        # b^(p-2) is 1/b mod p, and 0 for a denominator that skips p
+        r = (x + root * y) * pow(b, p - 2, p) % p
+        if b % p and all(
                 r * (1 + r) * _qint_value(d, r) % p for d in range(2, n + 1)):
             yield p, r
 

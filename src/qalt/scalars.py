@@ -6,8 +6,8 @@ polynomials (see word_algebra) and hand their results out as
 :class:`Polynomial` with int coefficients, built already in lowest terms
 with a monic denominator, so equal values have equal fields.  There is
 no field arithmetic and no polynomial gcd here; a value is printed,
-compared and evaluated at a number, exactly (as a Fraction) at an exact
-q.  Square roots are deliberately not representable: every
+compared and evaluated at a number exactly, then rounded once at a
+float q.  Square roots are deliberately not representable: every
 square-root-bearing quantity lives in the floating-point matrix backend
 instead, so that the exact code paths stay exact.
 
@@ -33,7 +33,6 @@ Fraction(-2, 1)
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -41,6 +40,7 @@ from typing import Union
 
 __all__ = [
     "Scalar",
+    "exact_parts",
     "Polynomial",
     "RationalFunction",
     "QPoint",
@@ -62,6 +62,27 @@ def _exact(c):
     """c as an int when it is integral, else as a Fraction."""
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def exact_parts(q):
+    """Integers (x, y, b), b > 0, with q = (x + iy)/b exactly: a float is a
+    dyadic rational, a complex a Gaussian dyadic one, and y = 0 otherwise."""
+    if isinstance(q, complex):
+        (x, bx), (y, by) = q.real.as_integer_ratio(), q.imag.as_integer_ratio()
+        b = max(bx, by)     # both are powers of two
+        return x * (b // bx), y * (b // by), b
+    x, b = q.as_integer_ratio()
+    return x, 0, b
+
+
+def _rounded(re, im, den, q):
+    """(re + i im)/den: a Fraction for exact q, else each part rounded once
+    by int / int true division, which raises OverflowError beyond floats."""
+    if isinstance(q, complex):
+        return complex(re / den, im / den)
+    if isinstance(q, float):
+        return float(re / den)  # re / den is a Fraction if a coefficient is
+    return Fraction(re, den)
 
 
 class Polynomial:
@@ -94,34 +115,19 @@ class Polynomial:
         return not self.coeffs
 
     def evaluate(self, value):
-        """Horner evaluation: a Fraction for int or Fraction input, else a
-        float or complex with the bits of Horner on Fraction coefficients.
-        """
-        if isinstance(value, (int, Fraction)):
-            # Horner in integers at value = a/b: for degree m it ends with
-            # acc = sum c_k a^k b^(m-k) and scale = b^(m+1)
-            a, b = value.numerator, value.denominator
-            acc, scale = 0, 1
-            for c in reversed(self.coeffs):
-                acc = acc * a + c * scale
-                scale *= b
-            return Fraction(acc * b, scale)
-        if self.is_zero:
-            return 0.0 * value
-        # float(c) of an int or a Fraction c is correctly rounded, and is
-        # what acc * value + c adds for a Fraction c via Fraction.__radd__
-        coeffs = map(complex if isinstance(value, complex) else float,
-                     reversed(self.coeffs))
-        try:
-            acc = next(coeffs)
-            for c in coeffs:
-                acc = acc * value + c
-        except OverflowError:
-            # float(int) says "int too large to convert to float"; keep the
-            # message of float(Fraction), which the CLI has always printed
-            raise OverflowError(
-                "integer division result too large for a float") from None
-        return acc
+        """The value at q: a Fraction for int or Fraction input, else the
+        exact value at q's binary value, each part rounded once."""
+        x, y, b = exact_parts(value)
+        return _rounded(*self._horner(x, y, b), value)
+
+    def _horner(self, x, y, b):
+        """(re, im, s) with this polynomial's value at (x + iy)/b equal to
+        (re + i im)/s: Horner in Gaussian integers, s = b^(degree + 1)."""
+        re, im, scale = 0, 0, 1
+        for c in reversed(self.coeffs):
+            scale *= b
+            re, im = re * x - im * y + c * scale, re * y + im * x
+        return re, im, scale
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
@@ -171,43 +177,17 @@ class RationalFunction:
         return self.num.is_zero
 
     def evaluate(self, value):
-        """Substitute a value for q.  Exact on Fraction input.
-
-        Raises ZeroDivisionError when the value is a pole.  The powers of a
-        large float or complex q can overflow in the numerator and the
-        denominator alike, where inf / inf would be NaN; only then is the
-        value taken again in t = 1/q, with both divided by q^deg(den), and
-        OverflowError is raised when that result is not finite either.
-        """
-        dv = self.den.evaluate(value)
-        if dv == 0:
+        """The value at q, exact and then rounded once, as for Polynomial;
+        ZeroDivisionError at a pole, OverflowError beyond the float range."""
+        x, y, b = exact_parts(value)
+        nr, ni, ns = self.num._horner(x, y, b)
+        dr, di, ds = self.den._horner(x, y, b)
+        if not (dr or di):
             raise ZeroDivisionError(f"pole at q = {value}")
-        result = self.num.evaluate(value) / dv
-        if isinstance(result, (float, complex)) and not cmath.isfinite(result):
-            result = self._evaluate_in_inverse(value)
-            if not cmath.isfinite(result):
-                raise OverflowError(f"{self} is not finite at q = {value}")
-        return result
-
-    def _evaluate_in_inverse(self, value):
-        """num(q)/den(q) as q^(deg num - deg den) rev(num)(t) / rev(den)(t),
-        t = 1/q, where rev(p)(t) = t^deg(p) p(1/t); inf where the power of
-        q or the quotient leaves the float range."""
-        t = 1 / value
-        reversed_values = []
-        for poly in (self.num, self.den):
-            acc = 0 * t
-            for c in poly.coeffs:
-                acc = acc * t + float(c)
-            reversed_values.append(acc)
-        rn, rd = reversed_values
-        if rd == 0:
-            return math.inf
-        result = rn / rd
-        shift = self.num.degree - self.den.degree
-        for _ in range(abs(shift)):
-            result = result * value if shift > 0 else result * t
-        return result
+        if di:
+            # divide by dr + i di through its conjugate
+            nr, ni, dr = nr * dr + ni * di, ni * dr - nr * di, dr * dr + di * di
+        return _rounded(nr * ds, ni * ds, dr * ns, value)
 
     def __str__(self) -> str:
         if self.den.coeffs == (1,):

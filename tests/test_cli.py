@@ -21,9 +21,9 @@ from qalt.hecke_rep import (
     build_representation,
     sup_norm,
 )
-from qalt.scalars import parse_q
+from qalt.scalars import Polynomial, RationalFunction, parse_q
 from qalt.tableaux import enumerate_diagrams
-from qalt.word_algebra import NormalFormMonomial, rewrite_y_word
+from qalt.word_algebra import NormalFormMonomial, c_squared, rewrite_y_word
 
 
 def run(capsys, *argv):
@@ -342,6 +342,27 @@ def test_rewrite_at_large_q_is_finite(capsys):
     assert (code, err) == (0, "")
     values = [term["value"] for term in json.loads(out)["terms"]]
     assert values == ["1.0", "1.0", "-1.0"]
+
+
+def test_rewrite_near_minus_one_is_correctly_rounded(capsys):
+    # the denominator (q + 1)^16 cancels catastrophically in floats at
+    # q = -0.9, where float Horner printed -1.01e17, 4.60e17 and -4.61e17;
+    # these are the exact values at the binary -0.9, rounded once
+    code, out, err = run(capsys, "rewrite", "--n", "3",
+                         "--word", " ".join(["y1"] * 10), "--q", "-0.9")
+    assert (code, err) == (0, "")
+    values = [term["value"] for term in json.loads(out)["terms"]]
+    assert values == ["-8.123478684113582e+17", "-2.9325533642449066e+20",
+                      "2.9406768429290203e+20"]
+
+
+def test_coefficients_beyond_the_float_range_give_a_finite_value():
+    # as in the coefficients of a 550-letter y1 word at n = 3: only the
+    # quotient is rounded, and (q - 1)^2 / (q + 1)^2 is 1/9 at q = 1/2
+    c2 = c_squared()
+    scaled = [Polynomial([10**400 * c for c in p.coeffs])
+              for p in (c2.num, c2.den)]
+    assert RationalFunction(*scaled).evaluate(0.5) == 1 / 9
 
 
 def test_seminormal_overflow_names_q_and_n(capsys):

@@ -36,11 +36,13 @@ requests are:
   forms g and sym, where they are skipped; and `verify --n 8 --seed 3`
   at q = 2 and 1+0.5i.
 
-The rewrite and verify_seed digests were recorded at commit da32be3,
-where every exact coefficient was built by gcd-reduced RationalFunction
-arithmetic; they pin the output of the current code to that one.
-Canonical num/den are unique and every value is evaluated from them, so
-the bytes must not move.  The dim digests were recorded again when each
+The rewrite and verify_seed digests were recorded again when a
+coefficient's value at a float or complex q became its exact value at
+the binary q, rounded once, in place of float Horner on the expanded
+numerator and denominator: 169 of the 510 rewrite entries and 1 of the
+8 verify_seed entries moved, and no exit code changed.  Canonical
+num/den are unique and a correctly rounded value is a function of them
+alone, so these bytes move only if a coefficient does.  The dim digests were recorded again when each
 branching square got its own verdict, exact mod p where floats fall
 short, in place of the SVD of the word matrix: every request that passed
 before kept its bytes, and the n = 5, 6 requests at -0.9 and 1e-5, which
@@ -60,7 +62,9 @@ float with a sentinel string, ran the `json` module's encoder and
 stripped the tags again, and the text renderer stripped the same tags.
 The word_checks digests were recorded at commit 3533bb0, where the
 seeded word checks multiplied every word and every normal-form monomial
-letter by letter, once per shape.
+letter by letter, once per shape, and again with the correctly rounded
+coefficient values: 8 of the 26 moved, and the three requests at
+q = -0.9 still exit 2.
 
 To record groups again, run from the root of the repository, naming
 the groups:
