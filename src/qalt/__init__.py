@@ -5,8 +5,8 @@ The package is organized bottom-up:
 - ``scalars``: exact values in the field Q(q) of rational functions, built
   in lowest terms by their producers, plus admissibility checks and
   parsing for numeric values of q.
-- ``tableaux``: Young diagrams, standard tableaux, classes and axial
-  distances, and the transposition action.
+- ``tableaux``: Young diagrams and their standard tableaux, in the
+  canonical basis order.
 - ``word_algebra``: words in the generators, the normal word basis of the
   Hecke algebra, and the exact rewriting engine for the even subalgebra.
 - ``hecke_rep``: irreducible representation matrices (g-form, f-form, and

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from functools import cache, partial
@@ -224,6 +225,20 @@ def _check_cap(n: int, max_n: int) -> None:
             f"n = {n} exceeds the cap {max_n}; raise it with --max-n")
 
 
+def _tol_arg(text: str) -> float:
+    """--tol: a finite positive float; any other value would decide every
+    check the same way (nan, 0 or below fail them all, inf passes them)."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and positive: {text!r}")
+    return tol
+
+
 def _parse_q_arg(text: str):
     try:
         return parse_q(text)
@@ -256,7 +271,7 @@ def build_parser() -> _Parser:
             p.add_argument("--word", type=str, required=True,
                            help='y-word such as "y1 y2 y1"')
         if tol:
-            p.add_argument("--tol", type=float, default=1e-10)
+            p.add_argument("--tol", type=_tol_arg, default=1e-10)
         if seed:
             p.add_argument("--seed", type=int, default=None,
                            help="also run seeded random word checks")

@@ -32,8 +32,8 @@ build_representation evaluates the two diagonal values and one block per
 distinct d (memoized per process by _block_values) and fills the
 skeleton's cells by index arrays.
 
-Also here: the direct sum over all shapes of n (total dimension n!), and a
-rank certificate that the images of the n!/2 even words span a space of
+Also here: the relation residuals of a representation, and a rank
+certificate that the images of the n!/2 even words span a space of
 dimension n!/2, which pins down the dimension of the even subalgebra.  It
 is one verdict per square of the branching factorization
 (_branching_squares): by singular values in floats, and where they fall
@@ -47,11 +47,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from typing import Sequence
 
 import numpy as np
 
-from .scalars import QPoint, Scalar, exact_parts, is_admissible, q_to_text
+from .scalars import Scalar, exact_parts, is_admissible, q_to_text
 from .tableaux import (
     StandardTableau,
     YoungDiagram,
@@ -68,9 +67,7 @@ __all__ = [
     "Representation",
     "build_representation",
     "transpose_witness",
-    "evaluate_word",
     "verify_relations",
-    "direct_sum",
     "dimension_certificate",
     "sup_norm",
     "representation_to_jsonable",
@@ -192,8 +189,6 @@ class Representation:
 
 
 def _coerce_q(q, n: int):
-    if isinstance(q, QPoint):
-        q = q.value
     if isinstance(q, int):
         q = Fraction(q)
     if isinstance(q, Fraction) and q == 1:
@@ -336,7 +331,7 @@ def build_representation(shape: YoungDiagram, q, form: str = "f") -> Representat
 
     form "f" gives the involution generators, "g" the quadratic ones, and
     "sym" the symmetric-group orthogonal form (q is ignored and may be
-    None).  q may be a QPoint, an exact Fraction (q = 1 meaning the
+    None).  q may be an exact Fraction or int (q = 1 meaning the
     regularized limit), a float, or a complex number.  The shape's
     skeleton (_skeleton) is refilled with the two diagonal values and one
     block of entries per distinct axial distance; the matrices are
@@ -410,18 +405,6 @@ def transpose_witness(rep: Representation,
     return _skeleton(rep.shape).witness
 
 
-def evaluate_word(rep: Representation, word: Sequence[int]) -> np.ndarray:
-    """Ordered product of generator matrices; the empty word is identity."""
-    dtype = rep.generator_matrices[0].dtype if rep.generator_matrices \
-        else np.float64
-    acc = np.eye(rep.dim, dtype=dtype)
-    for i in word:
-        if not 1 <= i <= rep.n - 1:
-            raise ValueError(f"generator index {i} out of range for n = {rep.n}")
-        acc = acc @ rep.generator_matrices[i - 1]
-    return acc
-
-
 # products that overflow at an extreme q leave inf or nan in the residuals
 @np.errstate(over="ignore", invalid="ignore")
 def verify_relations(rep: Representation, tol: float = 1e-10) -> dict:
@@ -486,17 +469,6 @@ def verify_relations(rep: Representation, tol: float = 1e-10) -> dict:
         "max_residual": worst,
         "pass": worst < tol,
     }
-
-
-def direct_sum(n: int, q, form: str = "f"):
-    """One representation per shape of n, plus the total-dimension check."""
-    reps = [build_representation(shape, q, form)
-            for shape in enumerate_diagrams(n)]
-    total = sum(rep.dim ** 2 for rep in reps)
-    expected = math.factorial(n)
-    checks = {"sum_dim_sq": total, "expected": expected,
-              "pass": total == expected}
-    return reps, checks
 
 
 # ---------------------------------------------------------------------------

@@ -11,19 +11,11 @@ float q.  Square roots are deliberately not representable: every
 square-root-bearing quantity lives in the floating-point matrix backend
 instead, so that the exact code paths stay exact.
 
-Numeric specialization points are wrapped in :class:`QPoint`, which rejects
-the degenerate parameters (q = 0, q = -1, and k-th roots of unity for k up
-to the algebra size) once, at construction time.  :class:`QInteger` holds
-the q-analogue [d]_q = (1 - q^d)/(1 - q) of an integer d; writing matrix
-entries in terms of q-integers removes the removable singularities at
-q = 1, so the same formulas evaluate cleanly at the limit point.
+Numeric values of q are parsed by :func:`parse_q`, printed by
+:func:`q_to_text`, and checked by :func:`is_admissible`, which rejects
+the degenerate parameters (q = 0, q = -1, and k-th roots of unity for k
+up to the algebra size).
 
->>> print(QInteger(3).as_function)
-q^2 + q + 1
->>> print(QInteger(-2).as_function)
-(-q - 1)/(q^2)
->>> QInteger(-2).as_function.evaluate(Fraction(1))
-Fraction(-2, 1)
 >>> is_admissible(Fraction(3, 2), 6)
 (True, None)
 >>> is_admissible(Fraction(-1), 3)
@@ -35,7 +27,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Union
 
 __all__ = [
@@ -43,8 +34,6 @@ __all__ = [
     "exact_parts",
     "Polynomial",
     "RationalFunction",
-    "QPoint",
-    "QInteger",
     "is_admissible",
     "parse_q",
     "q_to_text",
@@ -56,12 +45,6 @@ Scalar = Union[Fraction, int, float, complex]
 
 # |q^k - 1| below this counts as a root of unity for float/complex q.
 ROOT_OF_UNITY_TOLERANCE = 1e-12
-
-
-def _exact(c):
-    """c as an int when it is integral, else as a Fraction."""
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 def exact_parts(q):
@@ -86,19 +69,18 @@ def _rounded(re, im, den, q):
 
 
 class Polynomial:
-    """Dense univariate polynomial in q with rational coefficients.
+    """Dense univariate polynomial in q.
 
     Coefficients are stored ascending by power with no trailing zeros, so
-    equality of tuples is equality of polynomials.  An integral
-    coefficient is stored as an int, any other as a Fraction; every
-    producer in this package builds integer polynomials.  The zero
-    polynomial is the empty tuple and has degree -1.
+    equality of tuples is equality of polynomials; every producer in this
+    package passes ints.  The zero polynomial is the empty tuple and has
+    degree -1.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if type(c) is int else _exact(c) for c in coeffs]
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -113,12 +95,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def evaluate(self, value):
-        """The value at q: a Fraction for int or Fraction input, else the
-        exact value at q's binary value, each part rounded once."""
-        x, y, b = exact_parts(value)
-        return _rounded(*self._horner(x, y, b), value)
 
     def _horner(self, x, y, b):
         """(re, im, s) with this polynomial's value at (x + iy)/b equal to
@@ -172,12 +148,9 @@ class RationalFunction:
     num: Polynomial
     den: Polynomial
 
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
     def evaluate(self, value):
-        """The value at q, exact and then rounded once, as for Polynomial;
+        """The value at q: a Fraction for int or Fraction input, else the
+        exact value at q's binary value with each part rounded once;
         ZeroDivisionError at a pole, OverflowError beyond the float range."""
         x, y, b = exact_parts(value)
         nr, ni, ns = self.num._horner(x, y, b)
@@ -224,51 +197,6 @@ def is_admissible(q: Scalar, n: int):
             return False, f"q^{k} = 1 (root of unity with k <= n)"
         w = w * z
     return True, None
-
-
-@dataclass(frozen=True)
-class QPoint:
-    """An admissible specialization point for q.
-
-    value: exact Fraction, or float/complex.
-    n_context: the algebra size the admissibility check is scoped to.
-    """
-
-    value: Scalar
-    n_context: int
-
-    def __post_init__(self):
-        if self.n_context < 1:
-            raise ValueError("n_context must be positive")
-        ok, reason = is_admissible(self.value, self.n_context)
-        if not ok:
-            raise ValueError(f"inadmissible q for n = {self.n_context}: {reason}")
-
-
-@dataclass(frozen=True)
-class QInteger:
-    """The q-analogue [d]_q = (1 - q^d)/(1 - q) of a nonzero integer d.
-
-    For d > 0 this is the ladder 1 + q + ... + q^{d-1}; for d < 0 it is
-    -q^d (1 + q + ... + q^{|d|-1}), a genuine rational function.  Its value
-    at q = 1 is d, which is what makes it the right regularizer for matrix
-    entries with 1 - q^d denominators.
-    """
-
-    d: int
-
-    def __post_init__(self):
-        if self.d == 0:
-            raise ValueError("QInteger needs d != 0")
-
-    @cached_property
-    def as_function(self) -> RationalFunction:
-        # canonical as built: the ladder has value 1 at q = 0, so it is
-        # coprime to q^m
-        m = abs(self.d)
-        if self.d > 0:
-            return RationalFunction(Polynomial([1] * m), Polynomial([1]))
-        return RationalFunction(Polynomial([-1] * m), Polynomial([0] * m + [1]))
 
 
 def q_to_text(value: Scalar) -> str:

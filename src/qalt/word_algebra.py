@@ -37,9 +37,9 @@ normal-form combinations, their products and their re-reduction all work
 over Z[u].  Both calculi keep their coefficients in Z[q, 1/(q+1)], as
 integer polynomials over a power of (q+1), and compute with integers
 alone: there is no Q(q) arithmetic and no polynomial gcd.  A coefficient
-becomes a canonical RationalFunction only at the edge: num/(q+1)^e in
-_ring_to_rf, which cancels (q+1) factors by synthetic division, and p(u)
-in _u_to_rf, whose closed form is already in lowest terms.
+of the engine becomes a canonical RationalFunction only at the edge, in
+_u_to_rf, whose closed form is already in lowest terms.  The exact
+T-basis check compares its residuals with zero and never converts.
 """
 
 from __future__ import annotations
@@ -53,19 +53,14 @@ from typing import Iterable, Sequence
 from .scalars import Polynomial, RationalFunction
 
 __all__ = [
-    "Permutation",
     "UWord",
     "YWord",
     "NormalFormMonomial",
     "NormalFormCombination",
     "c_squared",
-    "normal_reduced_expression",
-    "uword_to_permutation",
     "enumerate_even_uwords",
     "enumerate_normal_monomials",
     "rewrite_y_word",
-    "rewrite_combination",
-    "multiply_normal_forms",
     "verify_presentation_relations",
     "parse_y_word",
     "HeckeElement",
@@ -74,52 +69,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# permutations and the normal word basis of H_n(q)
-
-@dataclass(frozen=True)
-class Permutation:
-    """Permutation of 1..n in one-line form: images[k-1] = sigma(k)."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        images = tuple(int(v) for v in self.images)
-        object.__setattr__(self, "images", images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError("images must be a bijection on 1..n")
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
-    @staticmethod
-    def adjacent_transposition(n: int, i: int) -> "Permutation":
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"transposition index {i} out of range")
-        images = list(range(1, n + 1))
-        images[i - 1], images[i] = images[i], images[i - 1]
-        return Permutation(tuple(images))
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        # composition of maps: (self * other)(k) = self(other(k))
-        return Permutation(tuple(self.images[v - 1] for v in other.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for k, v in enumerate(self.images, start=1):
-            inv[v - 1] = k
-        return Permutation(tuple(inv))
-
-    def length(self) -> int:
-        """Coxeter length: the inversion count."""
-        im = self.images
-        return sum(1 for a in range(len(im)) for b in range(a + 1, len(im))
-                   if im[a] > im[b])
-
+# descent vectors: the normal word basis of H_n(q)
 
 @dataclass(frozen=True)
 class UWord:
@@ -139,42 +89,6 @@ class UWord:
             i = pos + 2
             if not 0 <= d <= i - 1:
                 raise ValueError(f"descent {d} out of range at stage {i}")
-
-    @property
-    def n(self) -> int:
-        return len(self.descents) + 1
-
-    def letters(self) -> tuple[int, ...]:
-        out = []
-        for pos, d in enumerate(self.descents):
-            i = pos + 2
-            out.extend(range(i - 1, i - 1 - d, -1))
-        return tuple(out)
-
-    def length(self) -> int:
-        return sum(self.descents)
-
-
-def normal_reduced_expression(sigma: Permutation) -> UWord:
-    """The descent vector of a permutation.
-
-    d_i counts the entries smaller than i that appear to the right of i in
-    the one-line form; stringing the stage words together gives a reduced
-    expression, and the map is a bijection onto descent vectors.
-    """
-    im = sigma.images
-    ds = []
-    for i in range(2, sigma.n + 1):
-        k = im.index(i)
-        ds.append(sum(1 for j in range(k + 1, sigma.n) if im[j] < i))
-    return UWord(tuple(ds))
-
-
-def uword_to_permutation(word: UWord) -> Permutation:
-    acc = Permutation.identity(word.n)
-    for letter in word.letters():
-        acc = acc * Permutation.adjacent_transposition(word.n, letter)
-    return acc
 
 
 def enumerate_even_uwords(n: int) -> list[UWord]:
@@ -250,23 +164,6 @@ def _q_plus_one_power(e: int) -> tuple:
     return tuple(math.comb(e, k) for k in range(e + 1))
 
 
-def _ring_to_rf(num: tuple, e: int) -> RationalFunction:
-    """Canonical num/(q+1)^e: divide num by (q+1) while q = -1 is a root."""
-    if not num:
-        e = 0
-    while e:
-        # synthetic division by q + 1, highest coefficient first
-        quot = [0] * (len(num) - 1)
-        carry = 0
-        for k in range(len(num) - 1, 0, -1):
-            carry = num[k] - carry
-            quot[k - 1] = carry
-        if num[0] != carry:         # nonzero remainder num(-1)
-            break
-        num, e = tuple(quot), e - 1
-    return RationalFunction(Polynomial(num), Polynomial(_q_plus_one_power(e)))
-
-
 def _u_to_rf(p: tuple) -> RationalFunction:
     """p(u) in Q(q): sum_j a_j (q-1)^{2j} (q+1)^{2(k-j)} over (q+1)^{2k}.
 
@@ -277,7 +174,7 @@ def _u_to_rf(p: tuple) -> RationalFunction:
     while k >= 0 and not p[k]:
         k -= 1
     if k < 0:
-        return _ring_to_rf((), 0)
+        return RationalFunction(Polynomial(()), Polynomial(_UONE))
     num, den = (p[k],), _UONE
     for a in reversed(p[:k]):
         den = _u_mul(den, _Q_PLUS_ONE_SQ)
@@ -314,10 +211,6 @@ class NormalFormMonomial:
             if not 0 <= d <= i + 1:
                 raise ValueError(f"slot {i} code {d} out of range 0..{i + 1}")
 
-    @property
-    def n(self) -> int:
-        return len(self.code) + 2
-
     def letters(self) -> tuple[int, ...]:
         out = []
         for pos, d in enumerate(self.code):
@@ -350,10 +243,6 @@ class NormalFormCombination:
 
     n: int
     u_terms: dict[tuple[int, ...], tuple]
-
-    @staticmethod
-    def unit(n: int) -> "NormalFormCombination":
-        return NormalFormCombination(n, {(0,) * (n - 2): _UONE})
 
     @cached_property
     def terms(self) -> dict[tuple[int, ...], RationalFunction]:
@@ -565,29 +454,6 @@ def rewrite_y_word(word, n: int) -> NormalFormCombination:
     return NormalFormCombination(n, _rewrite_letters_u(letters, n))
 
 
-def rewrite_combination(comb: NormalFormCombination) -> NormalFormCombination:
-    """Re-reduce a combination monomial by monomial (idempotence check)."""
-    out: dict = {}
-    for code, p in comb.u_terms.items():
-        letters = NormalFormMonomial(code).letters()
-        _merge(out, _rewrite_letters_u(letters, comb.n), p)
-    return NormalFormCombination(comb.n, out)
-
-
-def multiply_normal_forms(a: NormalFormCombination,
-                          b: NormalFormCombination) -> NormalFormCombination:
-    """Exact product in A_n(q): rewrite the concatenation of the factors."""
-    if a.n != b.n:
-        raise ValueError("mixed n in multiplication")
-    terms: dict = {}
-    for code_b, p_b in b.u_terms.items():
-        letters = NormalFormMonomial(code_b).letters()
-        for code_a, p_a in a.u_terms.items():
-            image = _comb_rmul_word({code_a: _UONE}, letters)
-            _merge(terms, image, _u_mul(p_a, p_b))
-    return NormalFormCombination(a.n, terms)
-
-
 # ---------------------------------------------------------------------------
 # exact relation checks
 
@@ -657,8 +523,7 @@ class HeckeElement:
     terms maps one-line permutations w to integer polynomials in q (tuples
     as in the engine, never zero), all over the one denominator
     (q+1)^exp, so the coefficient of T_w is terms[w]/(q+1)^exp and the
-    ring arithmetic below runs on integers alone.  coefficient(w) cancels
-    the (q+1) factors and gives the canonical RationalFunction.
+    ring arithmetic below runs on integers alone.
     """
 
     __slots__ = ("n", "terms", "exp")
@@ -672,10 +537,6 @@ class HeckeElement:
     @staticmethod
     def unit(n: int) -> "HeckeElement":
         return HeckeElement(n, {tuple(range(1, n + 1)): _UONE})
-
-    def coefficient(self, w: tuple[int, ...]) -> RationalFunction:
-        """The coefficient of T_w in canonical form."""
-        return _ring_to_rf(self.terms.get(tuple(w), ()), self.exp)
 
     def _combine(self, other: "HeckeElement", sign: int) -> "HeckeElement":
         # self + sign * other, over the larger of the two denominators

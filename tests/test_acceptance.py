@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from qalt.scalars import QInteger
 from qalt.tableaux import enumerate_diagrams, parse_shape, transpose
 from qalt.word_algebra import (
     NormalFormMonomial,

@@ -446,6 +446,19 @@ def test_missing_required_flag(capsys):
     assert err.strip()
 
 
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [("verify", "--n", "3"),
+                                  ("classify", "--n", "4"),
+                                  ("symmetry", "--shape", "2,1")])
+def test_tol_must_be_finite_and_positive(capsys, argv, tol):
+    # such a --tol would fail every check (nan, 0, -1) or pass it (inf);
+    # it is a usage error instead
+    code, out, err = run(capsys, *argv, f"--tol={tol}")
+    assert (code, out) == (1, "")
+    assert err == ("error: argument --tol: tolerance must be finite and "
+                   f"positive: {tol!r}\n")
+
+
 def child_env() -> dict:
     """The environment of a child process that imports the same qalt as
     this test, installed or not."""

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from field_oracle import Q
 from rank_oracle import guarded_rank, numeric_rank
+from tableau_oracle import position_of, transpose_tableau
+from word_oracle import evaluate_word, uword_letters
 
 from qalt import hecke_rep
 from qalt.cli import render_json
-from qalt.scalars import QInteger, QPoint
 from qalt.tableaux import (
     YoungDiagram,
     enumerate_diagrams,
@@ -24,8 +25,6 @@ from qalt.hecke_rep import (
     IndeterminateRankError,
     build_representation,
     dimension_certificate,
-    direct_sum,
-    evaluate_word,
     representation_to_jsonable,
     sup_norm,
     transpose_witness,
@@ -68,7 +67,7 @@ def old_build_loop(shape, q, form):
     for i in range(1, shape.n):
         mat = np.zeros((len(basis), len(basis)), dtype=dtype)
         for k, t in enumerate(basis):
-            (ri, ci), (rj, cj) = t.position_of(i), t.position_of(i + 1)
+            (ri, ci), (rj, cj) = position_of(t, i), position_of(t, i + 1)
             if ri == rj or ci == cj:
                 mat[k, k] = diagonal[ri == rj]
                 continue
@@ -185,9 +184,8 @@ def test_block_entry_identity_exact():
     # (1+q^d)^2 + 4 q [d-1][d+1] = ((1+q)[d])^2, the exact form of A^2+B^2=1
     q = Q.q()
     for d in range(2, 7):
-        lhs = (1 + q ** d) ** 2 + 4 * q * Q.of(QInteger(d - 1).as_function) \
-            * Q.of(QInteger(d + 1).as_function)
-        rhs = ((1 + q) * Q.of(QInteger(d).as_function)) ** 2
+        lhs = (1 + q ** d) ** 2 + 4 * q * qint(d - 1, q) * qint(d + 1, q)
+        rhs = ((1 + q) * qint(d, q)) ** 2
         assert lhs == rhs
 
 
@@ -267,7 +265,7 @@ def test_transpose_swaps_diagonal_signs():
             rep = build_representation(shape, q, "f")
             rep_t = build_representation(transpose(shape), q, "f")
             index_t = {t.entries: k for k, t in enumerate(rep_t.basis)}
-            mapping = [index_t[transpose(t).entries] for t in rep.basis]
+            mapping = [index_t[transpose_tableau(t).entries] for t in rep.basis]
             for i in range(1, n):
                 m, mt = rep.generator_matrices[i - 1], rep_t.generator_matrices[i - 1]
                 for k, t in enumerate(rep.basis):
@@ -282,7 +280,7 @@ def test_transpose_swaps_diagonal_signs():
 
 def even_word_images(rep):
     """Images of the even descent-vector words, one evaluate_word each."""
-    return [evaluate_word(rep, w.letters())
+    return [evaluate_word(rep, uword_letters(w))
             for w in enumerate_even_uwords(rep.n)]
 
 
@@ -299,7 +297,7 @@ def reading_sign_oracle(rep, rep_t):
     index_t = {t.entries: k for k, t in enumerate(rep_t.basis)}
     p = np.zeros((rep.dim, rep.dim))
     for k, t in enumerate(rep.basis):
-        p[index_t[transpose(t).entries], k] = 1.0
+        p[index_t[transpose_tableau(t).entries], k] = 1.0
     return np.diag([reading_sign(t) for t in rep_t.basis]) @ p
 
 
@@ -328,7 +326,7 @@ def test_transposed_even_words_are_signed_permutations(q):
             for m, mt in zip(rep.generator_matrices, rep_t.generator_matrices):
                 assert sup_norm(mt + ep @ m @ ep.T) == 0.0
             for word in enumerate_even_uwords(n):
-                letters = word.letters()
+                letters = uword_letters(word)
                 scale = np.eye(rep.dim)
                 for i in letters:
                     scale = scale @ np.abs(rep.generator_matrices[i - 1])
@@ -361,7 +359,8 @@ def test_transpose_witness_is_the_old_tableau_route():
                 rep = build_representation(shape, q, form)
                 onto = build_representation(transpose(shape), q, form)
                 position = {t.entries: k for k, t in enumerate(onto.basis)}
-                old_index = [position[transpose(t).entries] for t in rep.basis]
+                old_index = [position[transpose_tableau(t).entries]
+                             for t in rep.basis]
                 index, signs = transpose_witness(rep, onto)
                 assert index.tolist() == old_index
                 assert signs.tolist() == [reading_sign(onto.basis[k])
@@ -387,7 +386,7 @@ def test_transpose_witness_forms():
         transpose_witness(g, g)
 
 
-# -- words and sums ---------------------------------------------------------------
+# -- words ----------------------------------------------------------------------
 
 def test_evaluate_word():
     rep = build_representation(parse_shape("3,1"), Fraction(3, 2), "f")
@@ -398,16 +397,6 @@ def test_evaluate_word():
     repg = build_representation(parse_shape("3,1"), Fraction(3, 2), "g")
     braid = evaluate_word(repg, [1, 2, 1]) - evaluate_word(repg, [2, 1, 2])
     assert sup_norm(braid) < 1e-10
-
-
-def test_direct_sum_dimension_check():
-    for n, total in ((3, 6), (4, 24), (5, 120)):
-        reps, checks = direct_sum(n, Fraction(3, 2), "f")
-        assert checks == {"sum_dim_sq": total, "expected": total, "pass": True}
-        assert len(reps) == len(enumerate_diagrams(n))
-        dims = sorted(rep.dim for rep in reps)
-        assert dims == sorted(len(enumerate_standard_tableaux(s))
-                              for s in enumerate_diagrams(n))
 
 
 # -- admissibility -----------------------------------------------------------------
@@ -423,11 +412,6 @@ def test_inadmissible_q_rejected():
         build_representation(shape, Fraction(2), "nope")
     with pytest.raises(ValueError):
         build_representation(shape, None, "f")
-
-
-def test_qpoint_input_accepted():
-    rep = build_representation(parse_shape("2,1"), QPoint(Fraction(2), 3), "f")
-    assert rep.q_value == Fraction(2)
 
 
 # -- rank certificate ----------------------------------------------------------------

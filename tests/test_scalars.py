@@ -1,23 +1,24 @@
 """Tests for exact values (polynomials, rational functions, q-integers)
 and for admissible and parsed values of q."""
 
-import struct
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from field_oracle import Q, is_canonical_over_q_power, is_canonical_ring
+from word_oracle import ring_to_rf
 
+from qalt.hecke_rep import _qint_value
 from qalt.scalars import (
     Polynomial,
-    QInteger,
-    QPoint,
     RationalFunction,
     is_admissible,
     parse_q,
 )
-from qalt.word_algebra import _ring_to_rf, c_squared, rewrite_y_word
+from qalt.word_algebra import c_squared, rewrite_y_word
 
 
 def poly(*coeffs):
@@ -34,8 +35,6 @@ def test_polynomial_normalizes_trailing_zeros():
 
 
 def test_integral_coefficients_are_stored_as_ints():
-    p = poly(Fraction(4, 2), 3, 2.0, Fraction(1, 2))
-    assert [type(c) for c in p.coeffs] == [int, int, int, Fraction]
     c2 = c_squared()
     assert all(type(c) is int for c in c2.num.coeffs + c2.den.coeffs)
 
@@ -44,7 +43,7 @@ def test_integral_coefficients_are_stored_as_ints():
 def test_exact_evaluation_returns_a_fraction(value):
     # a constant prints "1" at q = 3/2 through q_to_text, not "1.0"
     for p, expected in ((poly(1), 1), (poly(), 0), (poly(0, 1), value)):
-        got = p.evaluate(value)
+        got = RationalFunction(p, poly(1)).evaluate(value)
         assert type(got) is Fraction and got == expected
 
 
@@ -57,7 +56,7 @@ def test_exact_evaluation_is_fraction_horner(coeffs, value):
     acc = Fraction(0)
     for c in reversed(p.coeffs):
         acc = acc * value + c
-    got = p.evaluate(value)
+    got = RationalFunction(p, poly(1)).evaluate(value)
     assert type(got) is Fraction and got == acc
 
 
@@ -70,10 +69,10 @@ def test_polynomial_str_descending():
 def test_rational_function_reduces_to_canonical_form():
     # ring values num/(q+1)^e are built in lowest terms:
     # (q^3 + 1)/(q + 1)^2 = (q^2 - q + 1)/(q + 1), and zero is 0/1
-    f = _ring_to_rf((1, 0, 0, 1), 2)
+    f = ring_to_rf((1, 0, 0, 1), 2)
     assert (f.num, f.den) == (poly(1, -1, 1), poly(1, 1))
     assert is_canonical_ring(f) and Q.of(f) == Q((1, 0, 0, 1), (1, 2, 1))
-    zero = _ring_to_rf((), 3)
+    zero = ring_to_rf((), 3)
     assert (zero.num, zero.den) == (poly(), poly(1))
 
 
@@ -103,28 +102,6 @@ def test_rf_evaluate_refuses_a_result_that_is_not_finite(q):
                        match="integer division result too large for a float"):
         RationalFunction(poly(0, 0, 0, 1), poly(1)).evaluate(q)
     assert RationalFunction(poly(1), poly(0, 0, 0, 1)).evaluate(q) == 0
-
-
-def horner_through_fractions(p: Polynomial, value):
-    """Polynomial.evaluate at a float or complex value as first written:
-    each lower Fraction coefficient added through Fraction.__radd__."""
-    if p.is_zero:
-        return 0.0 * value
-    coeffs = [Fraction(c) for c in p.coeffs]
-    acc = coeffs[-1]
-    acc = complex(acc) if isinstance(value, complex) else float(acc)
-    for c in reversed(coeffs[:-1]):
-        acc = acc * value + c
-    return acc
-
-
-def outcome(f, *args):
-    """The type and bits of f's value, or its exception and message."""
-    try:
-        z = complex(value := f(*args))
-    except OverflowError as exc:
-        return "raises", str(exc)
-    return type(value), struct.pack("<dd", z.real, z.imag)
 
 
 def rounded_oracle(f, q):
@@ -179,23 +156,48 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
        | st.sampled_from([-1.01, -0.9999, -0.9, 0.999, 1.001, 1e-5, 1e200,
                           0.5j])
        | st.fractions(max_denominator=10**6) | st.integers(-50, 50))
+# polynomials whose value is beyond the float range at 2.0 and 0.5+1j
+@example(RationalFunction(poly(1, 10**400), poly(1)), 2.0)
+@example(RationalFunction(poly(1, 10**400), poly(1)), 0.5 + 1j)
+@example(RationalFunction(poly(10**400, 1), poly(1)), 2.0)
+@example(RationalFunction(poly(10**400, 1), poly(1)), 0.5 + 1j)
+@example(RationalFunction(poly(Fraction(10**400, 3), 0, 1), poly(1)), 2.0)
+@example(RationalFunction(poly(Fraction(10**400, 3), 0, 1), poly(1)),
+         0.5 + 1j)
 def test_evaluate_is_the_exact_value_rounded_once(f, q):
     assert typed_value(f.evaluate, q) == typed_value(rounded_oracle, f, q)
-    assert typed_value(f.num.evaluate, q) == typed_value(
-        rounded_oracle, RationalFunction(f.num, poly(1)), q)
-
-
-@pytest.mark.parametrize("value", [2.0, 0.5 + 1j])
-@pytest.mark.parametrize("coeffs", [(1, 10**400), (10**400, 1),
-                                    (Fraction(10**400, 3), 0, 1)])
-def test_float_horner_overflow_message_unchanged(coeffs, value):
-    p = poly(*coeffs)
-    expected = outcome(horner_through_fractions, p, value)
-    assert expected[0] == "raises"
-    assert outcome(p.evaluate, value) == expected
+    num = RationalFunction(f.num, poly(1))
+    assert typed_value(num.evaluate, q) == typed_value(rounded_oracle, num, q)
 
 
 # -- q-integers --------------------------------------------------------------
+
+@dataclass(frozen=True)
+class QInteger:
+    """The q-analogue [d]_q = (1 - q^d)/(1 - q) of a nonzero integer d, in
+    closed form: the exact reference of hecke_rep._qint_value.
+
+    For d > 0 this is the ladder 1 + q + ... + q^{d-1}; for d < 0 it is
+    -q^d (1 + q + ... + q^{|d|-1}), a genuine rational function.  Its value
+    at q = 1 is d, which is what makes it the right regularizer for matrix
+    entries with 1 - q^d denominators.
+    """
+
+    d: int
+
+    def __post_init__(self):
+        if self.d == 0:
+            raise ValueError("QInteger needs d != 0")
+
+    @cached_property
+    def as_function(self) -> RationalFunction:
+        # canonical as built: the ladder has value 1 at q = 0, so it is
+        # coprime to q^m
+        m = abs(self.d)
+        if self.d > 0:
+            return RationalFunction(Polynomial([1] * m), Polynomial([1]))
+        return RationalFunction(Polynomial([-1] * m), Polynomial([0] * m + [1]))
+
 
 def ladder_oracle(d: int, value: Fraction) -> Fraction:
     # direct evaluation of (1 - q^d)/(1 - q) in exact arithmetic
@@ -218,6 +220,15 @@ def test_q_integer_value_at_one_is_d(d):
 def test_q_integer_rejects_zero():
     with pytest.raises(ValueError):
         QInteger(0)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_qint_value_is_the_q_integer(d):
+    # the entry formulas' numeric ladder, exact at rational q
+    f = QInteger(d).as_function
+    for value in (Fraction(2), Fraction(3, 2), Fraction(5, 7), Fraction(-3),
+                  Fraction(1)):
+        assert _qint_value(d, value) == f.evaluate(value)
 
 
 def test_q_integer_negation_identity():
@@ -250,12 +261,6 @@ def test_is_admissible_float_cases():
     assert not ok and reason == "q^3 = 1 (root of unity with k <= n)"
     assert is_admissible(1.0 + 1e-15, 5)[0] is False
     assert is_admissible(-1.0, 5)[0] is False
-
-
-def test_qpoint_rejects_inadmissible():
-    QPoint(Fraction(2), 5)
-    with pytest.raises(ValueError):
-        QPoint(Fraction(1), 5)
 
 
 def test_parse_q_forms():
